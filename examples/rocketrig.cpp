@@ -123,7 +123,8 @@ int main(int argc, char** argv) {
         {
             std::ostringstream os;
             os << "done: " << steps << " steps in " << std::fixed << std::setprecision(2)
-               << watch.seconds() << "s (" << watch.seconds() / steps << " s/step)";
+               << watch.seconds() << "s (" << std::defaultfloat << std::setprecision(3)
+               << 1e3 * watch.seconds() / steps << " ms/step)";
             ex::print0(comm, os.str());
         }
     });

@@ -97,6 +97,14 @@ inline Params build_rocketrig_params(const Args& args) {
             params.surface_high = {1.0, 1.0};
         }
     }
+    if (params.boundary == Boundary::periodic) {
+        // A periodic cutoff solve wraps on the surface tile; the spatial
+        // box must match it in x and y (z keeps its extent).
+        for (std::size_t a = 0; a < 2; ++a) {
+            params.box_low[a] = params.surface_low[a];
+            params.box_high[a] = params.surface_high[a];
+        }
+    }
     params.validate();
     return params;
 }

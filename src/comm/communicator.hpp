@@ -327,8 +327,13 @@ public:
             const plancheck::Await edge{plancheck::WaitKind::barrier, world_rank_of(src),
                                         /*slot=*/-1,
                                         {comm_id_, world_rank_of(src), world_rank(), tag}};
-            plancheck::BlockedScope pblock(cs, world_rank(), {&edge, 1});
-            (void)ctx_->mailbox(world_rank()).receive(comm_id_, src, tag);
+            {
+                plancheck::BlockedScope pblock(cs, world_rank(), {&edge, 1});
+                (void)ctx_->mailbox(world_rank()).receive(comm_id_, src, tag);
+            }
+            // Unblock before counting the consume (as Plan::wait_any_recv
+            // does): a rank must never read as blocked on an edge it has
+            // already drained, or a peer's next-round wait sees a cycle.
             if (cs != nullptr) {
                 cs->note_consumed({comm_id_, world_rank_of(src), world_rank(), tag});
             }

@@ -74,6 +74,15 @@ struct Params {
         BEATNIK_REQUIRE(cutoff_distance > 0.0, "cutoff distance must be positive");
         BEATNIK_REQUIRE(order == Order::high || boundary == Boundary::periodic,
                         "low/medium order require periodic boundaries (FFT solver)");
+        // The cutoff solver's periodic images are offset by the tile, so
+        // its spatial box must be exactly the surface tile in x and y.
+        const bool periodic_cutoff = order != Order::low && br_solver == BRSolverKind::cutoff &&
+                                     boundary == Boundary::periodic;
+        BEATNIK_REQUIRE(!periodic_cutoff ||
+                            (box_low[0] == surface_low[0] && box_high[0] == surface_high[0] &&
+                             box_low[1] == surface_low[1] && box_high[1] == surface_high[1]),
+                        "periodic cutoff solves require the spatial box to equal the "
+                        "surface tile");
     }
 };
 

@@ -46,7 +46,12 @@ DistributedFFT2D::DistributedFFT2D(comm::Communicator& comm, std::array<int, 2> 
       stage2_to_brick_(comm.rank(), plan.stage2, plan.bricks),
       to_stage2_(comm.rank(), plan.bricks, plan.stage2),
       stage2_to_stage1_(comm.rank(), plan.stage2, plan.stage1),
-      stage1_to_brick_(comm.rank(), plan.stage1, plan.bricks) {}
+      stage1_to_brick_(comm.rank(), plan.stage1, plan.bricks) {
+    const std::array<detail::BoxReshape<Box2D>*, 6> family{
+        &to_stage1_, &stage1_to_stage2_, &stage2_to_brick_,
+        &to_stage2_, &stage2_to_stage1_, &stage1_to_brick_};
+    ReshapePlan::share_dense_exchange(family);
+}
 
 void DistributedFFT2D::transform_stage(std::vector<cplx>& data, const Stage& stage,
                                        bool inverse) const {

@@ -2,8 +2,9 @@
 /// \brief Distributed 2D complex FFT over a brick-decomposed array — the
 /// heFFTe stand-in, including its three tuning knobs (paper Table 1):
 ///
-///   * AllToAll — reshapes run through the alltoallv collective (true) or
-///     an explicit point-to-point message list (false);
+///   * AllToAll — each reshape messages every other rank, zero-byte
+///     blocks included, over one plan exchange shared by all six reshapes
+///     (true), or only its overlapping peers over its own exchange (false);
 ///   * Pencils  — intermediate stages are generic 1D pencil partitions
 ///     over all P ranks (true) or brick-aligned band partitions whose
 ///     first/last reshapes stay inside row/column subgroups (false);
@@ -81,11 +82,11 @@ public:
 
     /// Route the reshape staging through the device: the persistent stage
     /// buffers are pre-sized to their high-water mark and pinned, and the
-    /// p2p reshapes pack/unpack with device kernels straight into the
-    /// pinned plan transport buffers (ReshapePlan::enable_device). The
-    /// caller's transform arrays must be pinned too. The butterflies stay
-    /// host compute over the pinned lines — the cuFFT seam on real
-    /// hardware. The alltoall configurations keep host staging.
+    /// reshapes (either schedule) pack/unpack with device kernels straight
+    /// into the pinned plan transport buffers (ReshapePlan::enable_device).
+    /// The caller's transform arrays must be pinned too. The butterflies
+    /// stay host compute over the pinned lines — the cuFFT seam on real
+    /// hardware.
     void enable_device(par::device::Queue& q);
 
     /// Signed integer mode for index m of an N-point axis
@@ -128,7 +129,8 @@ private:
     Layout2D brick_layout_;
     Stage stage1_;
     Stage stage2_;
-    // Forward-path reshapes.
+    // Forward-path reshapes. All six run one after another, so they share
+    // one dense exchange: AllToAll keeps a single set of channels.
     ReshapePlan to_stage1_;
     ReshapePlan stage1_to_stage2_;
     ReshapePlan stage2_to_brick_;

@@ -1,76 +1,37 @@
 #include "fft/distributed_fft3d.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 namespace beatnik::fft {
 
 // --------------------------------------------------------------- Reshape3D
 
-void Reshape3D::pack(const Layout3D& l, std::span<const cplx> in, const Box3D& b,
-                     std::vector<cplx>& buf) {
+void Reshape3D::copy_box(const Layout3D& from, const cplx* in, const Layout3D& to, cplx* out,
+                         const Box3D& b) {
+    // Both k-fastest (the wire order and the brick layout): each k-run is
+    // contiguous on both sides and moves as one block copy.
+    const bool runs = from.fast_axis == 2 && to.fast_axis == 2;
     for (int i = b.i.begin; i < b.i.end; ++i) {
         for (int j = b.j.begin; j < b.j.end; ++j) {
-            for (int k = b.k.begin; k < b.k.end; ++k) buf.push_back(in[l.offset(i, j, k)]);
-        }
-    }
-}
-
-void Reshape3D::pack_into(const Layout3D& l, std::span<const cplx> in, const Box3D& b,
-                          cplx* out) {
-    for (int i = b.i.begin; i < b.i.end; ++i) {
-        for (int j = b.j.begin; j < b.j.end; ++j) {
-            for (int k = b.k.begin; k < b.k.end; ++k) *out++ = in[l.offset(i, j, k)];
-        }
-    }
-}
-
-void Reshape3D::unpack(const Layout3D& l, std::vector<cplx>& out, const Box3D& b,
-                       std::span<const cplx> buf) {
-    std::size_t m = 0;
-    for (int i = b.i.begin; i < b.i.end; ++i) {
-        for (int j = b.j.begin; j < b.j.end; ++j) {
-            for (int k = b.k.begin; k < b.k.end; ++k) out[l.offset(i, j, k)] = buf[m++];
+            if (runs) {
+                std::copy_n(in + from.offset(i, j, b.k.begin),
+                            static_cast<std::size_t>(b.k.extent()),
+                            out + to.offset(i, j, b.k.begin));
+                continue;
+            }
+            for (int k = b.k.begin; k < b.k.end; ++k) {
+                out[to.offset(i, j, k)] = in[from.offset(i, j, k)];
+            }
         }
     }
 }
 
 void Reshape3D::execute(comm::Communicator& comm, const Layout3D& src, std::span<const cplx> in,
                         const Layout3D& dst, std::vector<cplx>& out, bool use_alltoall) const {
-    BEATNIK_REQUIRE(in.size() == src.size(), "reshape3d: input size mismatch");
-    // The recv boxes tile the destination exactly (checked below), so the
-    // output needs no zero-fill pass — every element is overwritten.
-    BEATNIK_ASSERT(recv_coverage_ == dst.size(),
-                   "reshape3d: recv boxes do not cover the destination layout");
-    out.resize(dst.size());
-    if (use_alltoall) {
-        const int p = comm.size();
-        std::vector<std::size_t> sendcounts(static_cast<std::size_t>(p), 0);
-        std::vector<cplx> packed;
-        packed.reserve(src.size());
-        for (const auto& t : sends_) {
-            sendcounts[static_cast<std::size_t>(t.peer)] = t.box.size();
-            pack(src, in, t.box, packed);
-        }
-        std::vector<std::size_t> recvcounts;
-        auto received = comm.alltoallv(std::span<const cplx>(packed),
-                                       std::span<const std::size_t>(sendcounts), recvcounts);
-        std::size_t off = 0;
-        for (const auto& t : recvs_) {
-            BEATNIK_REQUIRE(recvcounts[static_cast<std::size_t>(t.peer)] == t.box.size(),
-                            "reshape3d: unexpected block size");
-            unpack(dst, out, t.box, std::span<const cplx>(received.data() + off, t.box.size()));
-            off += t.box.size();
-        }
-        return;
-    }
-    // heFFTe's custom p2p path on persistent pre-matched channels (see
-    // plan_cache.hpp).
-    p2p_->execute(
-        comm, sends_, recvs_,
-        [&](const Box3D& box, cplx* slot) { pack_into(src, in, box, slot); },
-        [&](const Box3D& box, std::vector<cplx>& buf) { pack(src, in, box, buf); },
-        [&](const Box3D& box, std::span<const cplx> data) { unpack(dst, out, box, data); },
-        "reshape3d: unexpected p2p size");
+    prepare(src, in, dst, out);
+    exchange(use_alltoall).execute(comm, route(use_alltoall), sends_, recvs_, src, in, dst, out,
+                                   copy_box);
 }
 
 // --------------------------------------------------------- DistributedFFT3D
@@ -169,6 +130,11 @@ DistributedFFT3D::DistributedFFT3D(comm::Communicator& comm, std::array<int, 3> 
         forward_path_.emplace_back(comm.rank(), plan.stage_b, plan.bricks);
         inverse_path_ = forward_path_; // symmetric two-hop path
     }
+    std::vector<detail::BoxReshape<Box3D>*> family;
+    for (auto* path : {&forward_path_, &inverse_path_}) {
+        for (auto& r : *path) family.push_back(&r);
+    }
+    Reshape3D::share_dense_exchange(family);
 }
 
 void DistributedFFT3D::transform_axis(std::vector<cplx>& data, const Layout3D& layout, int axis,

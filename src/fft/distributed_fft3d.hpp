@@ -18,11 +18,9 @@
 #pragma once
 
 #include <array>
-#include <memory>
 #include <vector>
 
-#include "fft/distributed_fft.hpp" // FFTConfig
-#include "fft/plan_cache.hpp"
+#include "fft/distributed_fft.hpp" // FFTConfig, detail::BoxReshape
 
 namespace beatnik::fft {
 
@@ -82,51 +80,23 @@ struct Layout3D {
 };
 
 /// Planned repartition between 3D box lists (the 3D analogue of
-/// ReshapePlan; heFFTe's box-intersection approach). The p2p path runs on
-/// a persistent comm::Plan bound on first execution; copies of a
-/// Reshape3D share that binding (forward/inverse paths over identical box
-/// lists reuse the same channels).
-class Reshape3D {
+/// ReshapePlan; heFFTe's box-intersection approach) on the same two
+/// persistent exchange schedules (fft/plan_cache.hpp). Copies of a
+/// Reshape3D share their exchanges (forward/inverse paths over identical
+/// box lists reuse the same channels).
+class Reshape3D : public detail::BoxReshape<Box3D> {
 public:
-    struct Transfer {
-        int peer;
-        Box3D box;
-    };
-
-    Reshape3D(int rank, const std::vector<Box3D>& src, const std::vector<Box3D>& dst)
-        : p2p_(std::make_shared<detail::P2PPlanCache>()) {
-        const int p = static_cast<int>(src.size());
-        BEATNIK_REQUIRE(dst.size() == src.size(), "reshape3d: one box per rank on both sides");
-        for (int r = 0; r < p; ++r) {
-            Box3D out = src[static_cast<std::size_t>(rank)].intersect(dst[static_cast<std::size_t>(r)]);
-            if (!out.empty()) sends_.push_back({r, out});
-            Box3D in = dst[static_cast<std::size_t>(rank)].intersect(src[static_cast<std::size_t>(r)]);
-            if (!in.empty()) {
-                recv_coverage_ += in.size();
-                recvs_.push_back({r, in});
-            }
-        }
-    }
-
-    [[nodiscard]] const std::vector<Transfer>& sends() const { return sends_; }
-    [[nodiscard]] const std::vector<Transfer>& recvs() const { return recvs_; }
+    using BoxReshape::BoxReshape;
 
     void execute(comm::Communicator& comm, const Layout3D& src, std::span<const cplx> in,
                  const Layout3D& dst, std::vector<cplx>& out, bool use_alltoall) const;
 
 private:
-    static void pack(const Layout3D& l, std::span<const cplx> in, const Box3D& b,
-                     std::vector<cplx>& buf);
-    static void pack_into(const Layout3D& l, std::span<const cplx> in, const Box3D& b,
-                          cplx* out);
-    static void unpack(const Layout3D& l, std::vector<cplx>& out, const Box3D& b,
-                       std::span<const cplx> buf);
-
-    std::vector<Transfer> sends_;
-    std::vector<Transfer> recvs_;
-    std::size_t recv_coverage_ = 0;
-    /// Execution-time p2p binding, shared by copies (see fft/plan_cache.hpp).
-    std::shared_ptr<detail::P2PPlanCache> p2p_;
+    /// Copy \p b from layout \p from at \p in to layout \p to at \p out:
+    /// pack (into the wire order, `Layout3D{b}`), unpack (out of it) and
+    /// the self rectangle are all this one copy.
+    static void copy_box(const Layout3D& from, const cplx* in, const Layout3D& to, cplx* out,
+                         const Box3D& b);
 };
 
 class DistributedFFT3D {
@@ -167,8 +137,8 @@ private:
     Layout3D stage_a_;
     Layout3D stage_b_;
     Layout3D stage_c_; ///< pencil path only
-    std::vector<Reshape3D> forward_path_;
-    std::vector<Reshape3D> inverse_path_;
+    std::vector<Reshape3D> forward_path_;   ///< shares one dense exchange
+    std::vector<Reshape3D> inverse_path_;   ///< with the forward path
     // Persistent stage buffers, reused across transforms.
     std::vector<cplx> work_b_;
     std::vector<cplx> work_c_;

@@ -3,14 +3,10 @@
 ///
 /// This is the heart of the heFFTe substitute: like heFFTe, a reshape is
 /// planned by intersecting every source box with every destination box,
-/// producing per-pair transfer rectangles. Execution either goes through
-/// the alltoallv collective (the `AllToAll=true` configuration, which
-/// inherits the communicator's zero-copy rendezvous path for large
-/// blocks) or through a persistent comm::Plan touching only overlapping
-/// peers (`AllToAll=false`, heFFTe's custom p2p path): the plan is bound
-/// on first execution, packs rectangles straight into pre-registered
-/// channel buffers, and unpacks arrivals in completion order — no
-/// per-sweep staging allocation and real send/recv overlap.
+/// producing per-pair transfer rectangles. Execution runs on a persistent
+/// plan exchange bound on first execution (fft/plan_cache.hpp), with the
+/// AllToAll knob picking its schedule: only overlapping peers (p2p), or
+/// all pairs on an exchange shared by a family of reshapes (dense).
 ///
 /// The plan itself is communication-free and can be built for any rank
 /// count — the scaling benchmarks build P=1024 plans and feed their
@@ -18,6 +14,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "fft/layout.hpp"
@@ -26,158 +23,154 @@
 
 namespace beatnik::fft {
 
-/// One planned transfer rectangle between a pair of ranks.
-struct Transfer {
-    int peer = 0;   ///< The other rank.
-    Box2D box;      ///< Global index rectangle carried by this transfer.
-};
+namespace detail {
 
-/// A planned repartition from layout list A to layout list B over P ranks.
-class ReshapePlan {
+/// What both reshape planners share: heFFTe's box-intersection plan for
+/// one rank and its seats on the two exchanges. Copies share the
+/// exchanges, so forward/inverse paths over identical box lists reuse the
+/// same channels.
+template <class Box>
+class BoxReshape {
 public:
+    /// One planned transfer rectangle between a pair of ranks.
+    struct Transfer {
+        int peer = 0;   ///< The other rank.
+        Box box;        ///< Global index rectangle carried by this transfer.
+    };
+
     /// Plan the reshape for one rank. Box lists must tile the same global
     /// space (checked in debug builds via total element count).
-    ReshapePlan(int rank, const std::vector<Box2D>& src_boxes,
-                const std::vector<Box2D>& dst_boxes) {
+    BoxReshape(int rank, const std::vector<Box>& src_boxes, const std::vector<Box>& dst_boxes) {
         const int p = static_cast<int>(src_boxes.size());
         BEATNIK_REQUIRE(dst_boxes.size() == src_boxes.size(),
                         "reshape: box lists must have one box per rank");
         BEATNIK_REQUIRE(rank >= 0 && rank < p, "reshape: rank out of range");
-        const Box2D& mine_src = src_boxes[static_cast<std::size_t>(rank)];
-        const Box2D& mine_dst = dst_boxes[static_cast<std::size_t>(rank)];
+        const Box& mine_src = src_boxes[static_cast<std::size_t>(rank)];
+        const Box& mine_dst = dst_boxes[static_cast<std::size_t>(rank)];
         for (int r = 0; r < p; ++r) {
-            Box2D out = mine_src.intersect(dst_boxes[static_cast<std::size_t>(r)]);
+            Box out = mine_src.intersect(dst_boxes[static_cast<std::size_t>(r)]);
             if (!out.empty()) sends_.push_back({r, out});
-            Box2D in = mine_dst.intersect(src_boxes[static_cast<std::size_t>(r)]);
+            Box in = mine_dst.intersect(src_boxes[static_cast<std::size_t>(r)]);
             if (!in.empty()) {
                 recv_coverage_ += in.size();
                 recvs_.push_back({r, in});
             }
         }
+        p2p_ = PlanExchange::make(rank, /*dense=*/false, p);
+        p2p_route_ = p2p_->join(sends_, recvs_);
+        dense_ = PlanExchange::make(rank, /*dense=*/true, p);
+        dense_route_ = dense_->join(sends_, recvs_);
     }
 
+    /// Overlapping peers only (self included), in rank order.
     [[nodiscard]] const std::vector<Transfer>& sends() const { return sends_; }
     [[nodiscard]] const std::vector<Transfer>& recvs() const { return recvs_; }
 
-    /// Switch the p2p path to device staging: the persistent plan's
+    /// Seat \p family — one rank's reshapes that run one after another,
+    /// never concurrently — on one shared dense exchange, each slot sized
+    /// to the largest block to or from its peer across the family. One set
+    /// of channels then serves every AllToAll reshape of the family. Call
+    /// before enable_device and before any member's first AllToAll run.
+    static void share_dense_exchange(std::span<BoxReshape* const> family) {
+        if (family.empty()) return;
+        const PlanExchange& own = *family.front()->dense_;
+        auto shared = PlanExchange::make(own.rank, /*dense=*/true,
+                                         static_cast<int>(own.sends.peer.size()) + 1);
+        for (BoxReshape* r : family) {
+            r->dense_ = shared;
+            r->dense_route_ = shared->join(r->sends_, r->recvs_);
+        }
+    }
+
+protected:
+    /// Check \p in against \p src and size \p out for \p dst with no
+    /// zero-fill pass: the recv rectangles are disjoint and tile the
+    /// destination (checked), so the sweep writes every element once.
+    template <class Layout>
+    void prepare(const Layout& src, std::span<const cplx> in, const Layout& dst,
+                 std::vector<cplx>& out) const {
+        BEATNIK_REQUIRE(in.size() == src.size(), "reshape: input size mismatch");
+        BEATNIK_ASSERT(recv_coverage_ == dst.size(),
+                       "reshape: recv boxes do not cover the destination layout");
+        out.resize(dst.size());
+    }
+
+    /// The exchange and route of the AllToAll knob's schedule.
+    [[nodiscard]] PlanExchange& exchange(bool use_alltoall) const {
+        return use_alltoall ? *dense_ : *p2p_;
+    }
+    [[nodiscard]] const Route& route(bool use_alltoall) const {
+        return use_alltoall ? dense_route_ : p2p_route_;
+    }
+
+    std::vector<Transfer> sends_;
+    std::vector<Transfer> recvs_;
+    std::size_t recv_coverage_ = 0;   ///< sum of recv rectangle sizes
+    /// Execution-time bindings, touched only from the owning rank-thread.
+    std::shared_ptr<PlanExchange> p2p_;
+    std::shared_ptr<PlanExchange> dense_;
+    Route p2p_route_;
+    Route dense_route_;
+};
+
+} // namespace detail
+
+/// A planned repartition from layout list A to layout list B over P ranks.
+class ReshapePlan : public detail::BoxReshape<Box2D> {
+public:
+    using BoxReshape::BoxReshape;
+
+    /// Switch both schedules to device staging: the persistent plan's
     /// transport buffers are pinned at bind, rectangle packs/unpacks run
     /// as kernels on \p q (so `in`/`out` must be device-accessible —
     /// pinned host ranges in practice), and each send publishes on its
     /// own pack-completion event, overlapping pack with communication.
-    /// The alltoall path is unaffected (host code reads the pinned
-    /// buffers directly). Safe to call after host sweeps already bound
-    /// the plan: the existing binding is pinned in place.
+    /// Safe to call after host sweeps already bound the plan: the existing
+    /// binding is pinned in place.
     void enable_device(par::device::Queue& q) {
-        p2p_->queue = &q;
-        if (p2p_->plan.has_value()) p2p_->setup_device();
+        p2p_->enable_device(q);
+        dense_->enable_device(q);
     }
 
     [[nodiscard]] bool device_enabled() const { return p2p_->queue != nullptr; }
 
     /// Execute the reshape. \p in is the local data in \p src layout;
     /// \p out is resized and filled in \p dst layout. \p use_alltoall
-    /// selects the collective path vs the persistent-plan p2p path.
+    /// selects the dense all-pairs schedule vs the overlapping-peers one.
     void execute(comm::Communicator& comm, const Layout2D& src, std::span<const cplx> in,
                  const Layout2D& dst, std::vector<cplx>& out, bool use_alltoall) const {
         telemetry::Scope span("fft.reshape", in.size() * sizeof(cplx),
                               use_alltoall ? 1 : 0);
-        BEATNIK_REQUIRE(in.size() == src.size(), "reshape: input size mismatch");
-        // Every element of the output is written exactly once by a recv
-        // rectangle (the recv boxes are disjoint and cover the destination
-        // box — checked below), so no zero-fill pass is needed: resize
-        // without assign, and reused buffers skip even the one-time fill.
-        BEATNIK_ASSERT(recv_coverage_ == dst.size(),
-                       "reshape: recv boxes do not cover the destination layout");
-        out.resize(dst.size());
-        if (use_alltoall) {
-            execute_alltoall(comm, src, in, dst, out);
-        } else {
-            execute_p2p(comm, src, in, dst, out);
+        prepare(src, in, dst, out);
+        detail::PlanExchange& ex = exchange(use_alltoall);
+        if (ex.queue != nullptr) {
+            execute_device(comm, ex, route(use_alltoall), src, in, dst, out);
+            return;
         }
+        ex.execute(comm, route(use_alltoall), sends_, recvs_, src, in, dst, out, copy_box);
     }
 
 private:
-    /// Pack a transfer rectangle in canonical (i-major) order.
-    static void pack(const Layout2D& src, std::span<const cplx> in, const Box2D& box,
-                     std::vector<cplx>& buf) {
-        for (int i = box.i.begin; i < box.i.end; ++i) {
-            for (int j = box.j.begin; j < box.j.end; ++j) buf.push_back(in[src.offset(i, j)]);
-        }
-    }
-
-    /// Pack directly into caller-provided storage (the plan's transport
-    /// buffer) — no staging vector. In the common j-fastest layout the
-    /// wire order matches memory order, so each box row moves as one
-    /// block copy.
-    static void pack_into(const Layout2D& src, std::span<const cplx> in, const Box2D& box,
-                          cplx* out) {
-        if (src.fast_axis == 1) {
+    /// Copy \p box from layout \p from at \p in to layout \p to at \p out.
+    /// A pack is a copy into the box's wire layout (`Layout2D{box}`: i-major,
+    /// j contiguous), an unpack a copy out of it, the self rectangle a copy
+    /// between the two stage layouts. When both layouts are j-fastest each
+    /// box row is one block copy.
+    static void copy_box(const Layout2D& from, const cplx* in, const Layout2D& to, cplx* out,
+                         const Box2D& box) {
+        if (from.fast_axis == 1 && to.fast_axis == 1) {
             const std::size_t row = static_cast<std::size_t>(box.j.extent());
-            for (int i = box.i.begin; i < box.i.end; ++i, out += row) {
-                std::copy_n(in.data() + src.offset(i, box.j.begin), row, out);
+            for (int i = box.i.begin; i < box.i.end; ++i) {
+                std::copy_n(in + from.offset(i, box.j.begin), row,
+                            out + to.offset(i, box.j.begin));
             }
             return;
         }
         for (int i = box.i.begin; i < box.i.end; ++i) {
-            for (int j = box.j.begin; j < box.j.end; ++j) *out++ = in[src.offset(i, j)];
-        }
-    }
-
-    static void unpack(const Layout2D& dst, std::vector<cplx>& out, const Box2D& box,
-                       std::span<const cplx> buf) {
-        if (dst.fast_axis == 1) {
-            const std::size_t row = static_cast<std::size_t>(box.j.extent());
-            std::size_t k = 0;
-            for (int i = box.i.begin; i < box.i.end; ++i, k += row) {
-                std::copy_n(buf.data() + k, row, out.data() + dst.offset(i, box.j.begin));
+            for (int j = box.j.begin; j < box.j.end; ++j) {
+                out[to.offset(i, j)] = in[from.offset(i, j)];
             }
-            return;
         }
-        std::size_t k = 0;
-        for (int i = box.i.begin; i < box.i.end; ++i) {
-            for (int j = box.j.begin; j < box.j.end; ++j) out[dst.offset(i, j)] = buf[k++];
-        }
-    }
-
-    void execute_alltoall(comm::Communicator& comm, const Layout2D& src, std::span<const cplx> in,
-                          const Layout2D& dst, std::vector<cplx>& out) const {
-        const int p = comm.size();
-        std::vector<std::size_t> sendcounts(static_cast<std::size_t>(p), 0);
-        std::vector<cplx> packed;
-        packed.reserve(src.size());
-        // sends_ is ordered by peer, matching alltoallv's block order.
-        for (const auto& t : sends_) {
-            sendcounts[static_cast<std::size_t>(t.peer)] = t.box.size();
-            pack(src, in, t.box, packed);
-        }
-        std::vector<std::size_t> recvcounts;
-        auto received = comm.alltoallv(std::span<const cplx>(packed),
-                                       std::span<const std::size_t>(sendcounts), recvcounts);
-        std::size_t off = 0;
-        for (const auto& t : recvs_) {
-            BEATNIK_REQUIRE(recvcounts[static_cast<std::size_t>(t.peer)] == t.box.size(),
-                            "reshape: unexpected block size from peer");
-            unpack(dst, out, t.box,
-                   std::span<const cplx>(received.data() + off, t.box.size()));
-            off += t.box.size();
-        }
-        BEATNIK_REQUIRE(off == received.size(), "reshape: received data not fully consumed");
-    }
-
-    void execute_p2p(comm::Communicator& comm, const Layout2D& src, std::span<const cplx> in,
-                     const Layout2D& dst, std::vector<cplx>& out) const {
-        if (p2p_->queue != nullptr) {
-            execute_p2p_device(comm, src, in, dst, out);
-            return;
-        }
-        // heFFTe's custom path: only overlapping peers exchange messages,
-        // through persistent pre-matched channels (see plan_cache.hpp).
-        p2p_->execute(
-            comm, sends_, recvs_,
-            [&](const Box2D& box, cplx* slot) { pack_into(src, in, box, slot); },
-            [&](const Box2D& box, std::vector<cplx>& buf) { pack(src, in, box, buf); },
-            [&](const Box2D& box, std::span<const cplx> data) { unpack(dst, out, box, data); },
-            "reshape: unexpected p2p block size");
     }
 
     /// devcheck footprint of \p box inside layout \p l at \p base: the
@@ -190,54 +183,33 @@ private:
         return {base + first, (last - first + 1) * sizeof(cplx), is_write};
     }
 
-    /// Device-kernel copy of a box from layout \p src in \p in to the
-    /// canonical i-major wire order at \p slot.
-    static void device_pack_box(par::device::Queue& q, const Layout2D& src, const cplx* in,
-                                const Box2D& box, cplx* slot) {
+    /// copy_box as a device kernel on \p q (one work item per box row).
+    static void device_copy_box(par::device::Queue& q, const char* what, const Layout2D& from,
+                                const cplx* in, const Layout2D& to, cplx* out,
+                                const Box2D& box) {
         const int ib = box.i.begin;
         const int jb = box.j.begin;
-        const int rowlen = box.j.extent();
-        const Layout2D layout = src;
-        namespace dc = par::device::devcheck;
-        dc::declare(q, "ReshapePlan device pack",
-                    {box_region(src, in, box, false),
-                     dc::write(slot, box.size() * sizeof(cplx))});
+        const int je = box.j.end;
+        par::device::devcheck::declare(
+            q, what, {box_region(from, in, box, false), box_region(to, out, box, true)});
         q.parallel_for(static_cast<std::size_t>(box.i.extent()), [=](std::size_t r) {
             const int i = ib + static_cast<int>(r);
-            cplx* dst = slot + r * static_cast<std::size_t>(rowlen);
-            for (int j = jb; j < jb + rowlen; ++j) dst[j - jb] = in[layout.offset(i, j)];
+            for (int j = jb; j < je; ++j) out[to.offset(i, j)] = in[from.offset(i, j)];
         });
     }
 
-    /// Device-kernel inverse: wire order at \p data into layout \p dst.
-    static void device_unpack_box(par::device::Queue& q, const Layout2D& dst, cplx* out,
-                                  const Box2D& box, const cplx* data) {
-        const int ib = box.i.begin;
-        const int jb = box.j.begin;
-        const int rowlen = box.j.extent();
-        const Layout2D layout = dst;
-        namespace dc = par::device::devcheck;
-        dc::declare(q, "ReshapePlan device unpack",
-                    {dc::read(data, box.size() * sizeof(cplx)),
-                     box_region(dst, out, box, true)});
-        q.parallel_for(static_cast<std::size_t>(box.i.extent()), [=](std::size_t r) {
-            const int i = ib + static_cast<int>(r);
-            const cplx* s = data + r * static_cast<std::size_t>(rowlen);
-            for (int j = jb; j < jb + rowlen; ++j) out[layout.offset(i, j)] = s[j - jb];
-        });
-    }
-
-    /// The device sweep: packs go straight from the (pinned) source array
-    /// into the pinned plan buffers as kernels, each send publishing on
-    /// its own completion event; the self rectangle is one direct
-    /// in->out kernel; arrivals unpack as kernels and release on their
-    /// own events. The closing fence makes `out` host-readable (the
-    /// caller runs FFT butterflies on it next).
-    void execute_p2p_device(comm::Communicator& comm, const Layout2D& src,
-                            std::span<const cplx> in, const Layout2D& dst,
-                            std::vector<cplx>& out) const {
-        auto& c = *p2p_;
-        c.bind(comm, sends_, recvs_);
+    /// The device sweep over \p c: packs go straight from the (pinned)
+    /// source array into the pinned plan buffers as kernels, each send
+    /// publishing on its own completion event; the self rectangle is one
+    /// direct in->out kernel; arrivals unpack as kernels and release on
+    /// their own events. Zero-byte route entries publish and release with
+    /// no kernel. The closing fence makes `out` host-readable (the caller
+    /// runs FFT butterflies on it next).
+    void execute_device(comm::Communicator& comm, detail::PlanExchange& c,
+                        const detail::Route& route, const Layout2D& src,
+                        std::span<const cplx> in, const Layout2D& dst,
+                        std::vector<cplx>& out) const {
+        c.bind(comm);
         par::device::Queue& q = *c.queue;
         auto& rt = par::device::Runtime::instance();
         BEATNIK_REQUIRE(rt.device_accessible(in.data(), in.size_bytes()),
@@ -246,52 +218,48 @@ private:
                         "device reshape: output array is not device-accessible — pin it first");
         namespace dc = par::device::devcheck;
         c.plan->start();
-        c.send_keys.assign(c.send_slots.size(), nullptr);
-        c.recv_keys.assign(c.recv_slots.size(), nullptr);
-        for (std::size_t s = 0; s < c.send_slots.size(); ++s) {
-            const auto& [slot, t] = c.send_slots[s];
-            const Box2D& box = sends_[t].box;
-            auto buf = c.plan->send_buffer(slot, box.size() * sizeof(cplx));
+        c.send_keys.assign(route.send.size(), nullptr);
+        c.recv_keys.assign(route.recv.size(), nullptr);
+        for (std::size_t s = 0; s < route.send.size(); ++s) {
+            const int t = route.send[s];
+            auto buf = c.plan->send_buffer(static_cast<int>(s),
+                                           detail::block_size(sends_, t) * sizeof(cplx));
             c.send_keys[s] = buf.data();
             dc::channel_send_acquire(buf.data());
-            device_pack_box(q, src, in.data(), box, reinterpret_cast<cplx*>(buf.data()));
+            if (t >= 0) {
+                const Box2D& box = sends_[static_cast<std::size_t>(t)].box;
+                device_copy_box(q, "ReshapePlan device pack", src, in.data(), Layout2D{box},
+                                reinterpret_cast<cplx*>(buf.data()), box);
+            }
             q.record_event_into(c.send_events[s]);
         }
-        for (std::size_t s = 0; s < c.send_slots.size(); ++s) {
+        for (std::size_t s = 0; s < route.send.size(); ++s) {
             c.send_events[s].wait();
             dc::channel_publish(c.send_keys[s], "ReshapePlan device publish");
-            c.plan->publish(c.send_slots[s].first);
+            c.plan->publish(static_cast<int>(s));
         }
         // Self rectangle: one direct device copy, no staging.
         for (const auto& t : recvs_) {
-            if (t.peer != comm.rank()) continue;
-            const Box2D& box = t.box;
-            const int ib = box.i.begin;
-            const int jb = box.j.begin;
-            const int rowlen = box.j.extent();
-            const Layout2D lsrc = src;
-            const Layout2D ldst = dst;
-            const cplx* ip = in.data();
-            cplx* op = out.data();
-            dc::declare(q, "ReshapePlan self rectangle",
-                        {box_region(lsrc, ip, box, false), box_region(ldst, op, box, true)});
-            q.parallel_for(static_cast<std::size_t>(box.i.extent()), [=](std::size_t r) {
-                const int i = ib + static_cast<int>(r);
-                for (int j = jb; j < jb + rowlen; ++j) {
-                    op[ldst.offset(i, j)] = ip[lsrc.offset(i, j)];
-                }
-            });
+            if (t.peer == comm.rank()) {
+                device_copy_box(q, "ReshapePlan self rectangle", src, in.data(), dst, out.data(),
+                                t.box);
+            }
         }
         c.arrived.clear();
-        for (std::size_t done = 0; done < c.recv_slots.size(); ++done) {
-            int s = c.plan->wait_any_recv();
+        for (std::size_t done = 0; done < route.recv.size(); ++done) {
+            const int s = c.plan->wait_any_recv();
             BEATNIK_ASSERT(s >= 0);
-            const Box2D& box = recvs_[c.recv_slots[static_cast<std::size_t>(s)].second].box;
+            const int t = route.recv[static_cast<std::size_t>(s)];
             auto incoming = c.plan->recv_view_as<cplx>(s);
-            BEATNIK_REQUIRE(incoming.size() == box.size(), "reshape: unexpected p2p block size");
+            BEATNIK_REQUIRE(incoming.size() == detail::block_size(recvs_, t),
+                            "reshape: unexpected block size from peer");
             c.recv_keys[static_cast<std::size_t>(s)] = incoming.data();
             dc::channel_recv_acquire(incoming.data(), "ReshapePlan device recv");
-            device_unpack_box(q, dst, out.data(), box, incoming.data());
+            if (t >= 0) {
+                const Box2D& box = recvs_[static_cast<std::size_t>(t)].box;
+                device_copy_box(q, "ReshapePlan device unpack", Layout2D{box}, incoming.data(), dst,
+                                out.data(), box);
+            }
             q.record_event_into(c.recv_events[static_cast<std::size_t>(s)]);
             c.arrived.push_back(s);
         }
@@ -303,13 +271,6 @@ private:
         }
         q.fence(); // devcheck: fenced — caller's host FFT reads `out` next
     }
-
-    std::vector<Transfer> sends_;
-    std::vector<Transfer> recvs_;
-    std::size_t recv_coverage_ = 0;   ///< sum of recv rectangle sizes
-    /// Execution-time p2p binding, shared by copies and touched only from
-    /// the owning rank-thread (see fft/plan_cache.hpp).
-    std::shared_ptr<detail::P2PPlanCache> p2p_ = std::make_shared<detail::P2PPlanCache>();
 };
 
 } // namespace beatnik::fft

@@ -144,6 +144,11 @@ public:
     [[nodiscard]] std::unique_ptr<QueueState> make_queue(const char* name) {
         auto st = std::make_unique<QueueState>();
         std::lock_guard lock(m_);
+        // Create the constructing thread's host actor first. A
+        // thread_local queue (default_queue) then completes construction
+        // after it, so thread exit destroys the queue — whose destructor
+        // fences and reads this actor — before the actor.
+        (void)host();
         st->id = next_actor_++;
         st->name = name;
         return st;

@@ -28,6 +28,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 
 #include "par/device/runtime.hpp"
@@ -50,6 +51,9 @@ struct EventState {
     /// while disarmed). Written under the recording queue's lock, read
     /// under a waiting queue's (different) lock — hence atomic.
     std::atomic<std::uint64_t> tel_id{0};
+    /// Handles a queue holds only to fire this marker (taken at enqueue,
+    /// dropped right after set()); see Queue::fired_and_exclusive.
+    std::atomic<int> queue_refs{0};
     std::vector<std::function<void()>> callbacks;
     /// set()'s fire scratch. A member (not a local) so the two vectors
     /// ping-pong their capacity across reuse cycles: a steady-state loop
@@ -251,7 +255,7 @@ public:
     /// halo overlap). Falls back to a fresh allocation otherwise.
     void record_event_into(Event& e) {
         auto& st = e.st_;
-        if (!st || st.use_count() != 1 || !st->is_done()) {
+        if (!st || !fired_and_exclusive(st)) {
             st = std::make_shared<detail::EventState>();
         } else {
             // Exclusively ours and fired: no waiter can exist, so the
@@ -322,6 +326,19 @@ public:
 private:
     enum class Kind : std::uint8_t { kernel, event, wait };
 
+    /// Whether \p st has fired and \p st is its only handle. The queue that
+    /// fired it drops its own handle just after set(), so a waiter woken by
+    /// set() can still count two for as long as that thread is descheduled.
+    /// That drop needs nothing but the firing thread's progress, so wait
+    /// for it; any other handle makes reuse unsafe.
+    static bool fired_and_exclusive(const std::shared_ptr<detail::EventState>& st) {
+        if (!st->is_done()) return false;
+        while (st->queue_refs.load(std::memory_order_acquire) != 0) std::this_thread::yield();
+        // queue_refs drops one step before the handle itself.
+        for (int spin = 0; spin < 64 && st.use_count() != 1; ++spin) std::this_thread::yield();
+        return st.use_count() == 1;
+    }
+
     void enqueue_event(const std::shared_ptr<detail::EventState>& st) {
         // Snapshot the queue clock into the event (both the Op path and
         // the idle-queue direct completion mark the same logical point).
@@ -350,6 +367,7 @@ private:
                 Op* op = acquire();
                 op->kind = Kind::event;
                 op->ev = st;
+                st->queue_refs.fetch_add(1, std::memory_order_relaxed);
                 push(op);
                 dispatch(fire);
                 reg = take_pending_wait(gen);
@@ -490,7 +508,11 @@ private:
     void finish_dispatch(std::vector<std::shared_ptr<detail::EventState>>& fire,
                          std::shared_ptr<detail::EventState>& reg, std::uint64_t gen) {
         if (reg) reg->on_done([this, gen] { resume_after_wait(gen); });
-        for (auto& ev : fire) ev->set();
+        for (auto& ev : fire) {
+            ev->set();
+            ev->queue_refs.fetch_sub(1, std::memory_order_release);
+            ev.reset();   // see fired_and_exclusive
+        }
     }
 
     /// Runs on whatever thread completes the awaited event; it may not

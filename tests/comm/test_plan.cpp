@@ -217,6 +217,9 @@ TEST(Plan, OutOfOrderArrivalCompletesInArrivalOrder) {
             int from1 = b.add_recv(1, tag, sizeof(int));
             int from2 = b.add_recv(2, tag, sizeof(int));
             auto plan = b.build();
+            // Attach before anyone publishes: messages already waiting at
+            // build are queued in slot order, not arrival order.
+            comm.barrier();
             plan.start();
             int first = plan.wait_any_recv();
             EXPECT_EQ(first, from2);
@@ -230,6 +233,7 @@ TEST(Plan, OutOfOrderArrivalCompletesInArrivalOrder) {
             const int tag = comm.new_plan_tag();
             int snd = b.add_send(0, tag, sizeof(int));
             auto plan = b.build();
+            comm.barrier();
             // Keep the plan-tag sequence lockstep: rank 0 drew one tag too.
             if (comm.rank() == 1) {
                 int token = comm.recv_value<int>(2, 9);

@@ -83,7 +83,7 @@ struct ScopedDefaultBackend {
     ~ScopedDefaultBackend() { b::par::set_default_backend(saved); }
 };
 
-b::Params case_params(b::Order order) {
+b::Params case_params(b::Order order, int fft_config = 3) {
     b::Params p;
     p.num_nodes = {32, 32};
     p.boundary = b::Boundary::periodic;
@@ -96,9 +96,10 @@ b::Params case_params(b::Order order) {
     p.box_high = {1.0, 1.0, 2.0};
     p.initial.kind = b::InitialCondition::Kind::multimode;
     p.initial.magnitude = 0.1;
-    // The p2p (non-alltoall) heFFTe path: reshape staging through pinned
-    // plan buffers under device residency.
-    p.fft = b::fft::FFTConfig::from_table1_index(3);
+    // Config 3 by default: the p2p (non-alltoall) heFFTe path. Either
+    // schedule stages its reshapes through pinned plan buffers under
+    // device residency.
+    p.fft = b::fft::FFTConfig::from_table1_index(fft_config);
     return p;
 }
 
@@ -110,11 +111,11 @@ struct StateBytes {
 };
 
 std::vector<StateBytes> run_case(b::par::Backend backend, b::Order order, int nranks,
-                                 int steps) {
+                                 int steps, int fft_config = 3) {
     ScopedDefaultBackend scoped(backend);
     std::vector<StateBytes> out(static_cast<std::size_t>(nranks));
     run(nranks, [&](bc::Communicator& comm) {
-        b::Solver solver(comm, case_params(order));
+        b::Solver solver(comm, case_params(order, fft_config));
         solver.advance(steps);
         auto& pm = solver.state();
         auto r = static_cast<std::size_t>(comm.rank());
@@ -134,6 +135,17 @@ TEST(DeviceResidency, StepsAreBitwiseIdenticalToHostForAllOrders) {
             EXPECT_EQ(host[r].w, device[r].w)
                 << "vorticity diverged, rank " << r << " order " << static_cast<int>(order);
         }
+    }
+}
+
+TEST(DeviceResidency, AllToAllLowOrderIsBitwiseIdenticalToHost) {
+    // Config 7 (AllToAll, pencils, reorder): the dense exchange runs the
+    // same device sweep as p2p, zero-byte blocks included.
+    auto host = run_case(b::par::Backend::serial, b::Order::low, 4, 3, /*fft_config=*/7);
+    auto device = run_case(b::par::Backend::device, b::Order::low, 4, 3, /*fft_config=*/7);
+    for (std::size_t r = 0; r < host.size(); ++r) {
+        EXPECT_EQ(host[r].z, device[r].z) << "position diverged, rank " << r;
+        EXPECT_EQ(host[r].w, device[r].w) << "vorticity diverged, rank " << r;
     }
 }
 

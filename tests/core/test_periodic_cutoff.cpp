@@ -162,4 +162,33 @@ TEST(PeriodicCutoff, RejectsMismatchedBoxAndTile) {
     });
 }
 
+TEST(PeriodicCutoff, ValidateRejectsMismatchedBoxAndTile) {
+    // Caught at Params::validate, before any mesh is built, and only where
+    // a cutoff solver will run: low order (no BR solver), the exact solver
+    // and free boundaries leave the box alone.
+    auto params = periodic_params(16, 0.3);
+    params.box_low = {-3.0, -3.0, -3.0};
+    params.box_high = {3.0, 3.0, 3.0};
+    for (auto order : {b::Order::medium, b::Order::high}) {
+        params.order = order;
+        try {
+            params.validate();
+            ADD_FAILURE() << "mismatched box must not validate";
+        } catch (const beatnik::Error& e) {
+            EXPECT_NE(std::string(e.what()).find(
+                          "periodic cutoff solves require the spatial box to equal the surface tile"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    params.order = b::Order::low;
+    EXPECT_NO_THROW(params.validate());
+    params.order = b::Order::high;
+    params.br_solver = b::BRSolverKind::exact;
+    EXPECT_NO_THROW(params.validate());
+    params.br_solver = b::BRSolverKind::cutoff;
+    params.boundary = b::Boundary::free;
+    EXPECT_NO_THROW(params.validate());
+}
+
 } // namespace

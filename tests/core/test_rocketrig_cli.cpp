@@ -85,6 +85,26 @@ TEST(RocketrigCli, ExplicitBoundaryOverrideMovesDomain) {
     EXPECT_DOUBLE_EQ(p.surface_low[0], -3.0);
 }
 
+/// Regression: periodic mode set the surface to the (-1,1)^2 tile but
+/// left the spatial box at (-3,3), so `--order medium` and `--order high`
+/// (cutoff solver by default) died in the SpatialMesh check. The box now
+/// follows the tile in x and y, and both orders build and step.
+TEST(RocketrigCli, PeriodicCutoffOrdersRun) {
+    for (const char* order : {"medium", "high"}) {
+        auto p = parse({"--order", order, "--mesh", "16"});
+        EXPECT_EQ(p.br_solver, b::BRSolverKind::cutoff);
+        for (std::size_t a = 0; a < 2; ++a) {
+            EXPECT_DOUBLE_EQ(p.box_low[a], p.surface_low[a]) << order;
+            EXPECT_DOUBLE_EQ(p.box_high[a], p.surface_high[a]) << order;
+        }
+        b::comm::Context::run(1, [&](b::comm::Communicator& comm) {
+            b::Solver solver(comm, p);
+            solver.step();
+            EXPECT_EQ(solver.step_count(), 1) << order;
+        });
+    }
+}
+
 TEST(RocketrigCli, UnknownDeckThrows) {
     EXPECT_THROW(parse({"--deck", "nonsense"}), b::InvalidArgument);
 }

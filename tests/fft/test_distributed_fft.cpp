@@ -1,17 +1,60 @@
 // Distributed FFT tests: every (AllToAll, Pencils, Reorder) configuration
 // on several process grids must reproduce the serial 2D transform exactly,
-// and the static schedule planner must conserve bytes.
+// the static schedule planner must conserve bytes, and the reshape
+// exchanges must keep their message schedules and their zero-allocation
+// steady state (per-thread counting global allocator — this TU replaces
+// operator new/delete for this test binary only).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
 #include <numbers>
+#include <tuple>
 
 #include "base/rng.hpp"
+#include "comm/plancheck.hpp"
 #include "fft/distributed_fft.hpp"
+#include "par/device/devcheck.hpp"
 #include "test_env.hpp"
 
 namespace bf = beatnik::fft;
 namespace bc = beatnik::comm;
 using bf::cplx;
+
+// The replacement operators pair malloc-family allocation with free();
+// GCC's heuristic cannot see through the replacement and reports
+// mismatched new/delete at every inlined call site in this TU.
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+
+namespace {
+/// Allocations performed by the current thread since start-up.
+thread_local std::uint64_t t_allocs = 0;
+} // namespace
+
+void* operator new(std::size_t n) {
+    ++t_allocs;
+    if (void* p = std::malloc(n ? n : 1)) return p;
+    throw std::bad_alloc();
+}
+void* operator new[](std::size_t n) { return ::operator new(n); }
+void* operator new(std::size_t n, std::align_val_t al) {
+    ++t_allocs;
+    const std::size_t a = static_cast<std::size_t>(al);
+    const std::size_t rounded = (n + a - 1) / a * a;
+    if (void* p = std::aligned_alloc(a, rounded ? rounded : a)) return p;
+    throw std::bad_alloc();
+}
+void* operator new[](std::size_t n, std::align_val_t al) { return ::operator new(n, al); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
 
 namespace {
 
@@ -197,6 +240,162 @@ TEST(Reshape, EnableDeviceAfterHostBindPinsTheExistingPlan) {
                      /*use_alltoall=*/false);
         EXPECT_EQ(host_out, dev_out) << "rank " << comm.rank();
     });
+}
+
+// ------------------------------------------------------ reshape exchanges
+
+/// (src, dst, bytes) of one point-to-point message.
+using Msg = std::tuple<int, int, std::size_t>;
+
+/// Every plan publish of one forward transform, from the context trace.
+std::vector<Msg> traced_forward(std::array<int, 2> topo, std::array<int, 2> global, int idx) {
+    std::vector<Msg> msgs;
+    bc::ContextConfig cfg;
+    cfg.recv_timeout_seconds = 60.0;
+    cfg.enable_trace = true;
+    bc::Context::run(topo[0] * topo[1], [&](bc::Communicator& comm) {
+        bf::DistributedFFT2D fft(comm, global, topo, bf::FFTConfig::from_table1_index(idx));
+        std::vector<cplx> local(fft.local_box().size(), cplx{1.0, 0.0});
+        fft.forward(local);
+        comm.barrier();   // every rank's publishes are recorded
+        if (comm.rank() == 0) {
+            for (const auto& r : comm.context().trace()->snapshot()) {
+                if (bc::tags::is_plan(r.tag)) msgs.emplace_back(r.src_world, r.dst_world, r.bytes);
+            }
+        }
+    }, cfg);
+    std::sort(msgs.begin(), msgs.end());
+    return msgs;
+}
+
+TEST(ReshapeExchange, AllToAllIsDenseAndP2PMessagesOnlyOverlappingPeers) {
+    // Configs 4-7: every rank publishes to every other rank once per
+    // reshape (P-1 messages), zero-byte blocks included. Configs 0-3:
+    // only the overlapping peers of the planned schedule.
+    for (auto [topo, global] : {std::pair{std::array<int, 2>{2, 2}, std::array<int, 2>{16, 16}},
+                                std::pair{std::array<int, 2>{2, 3}, std::array<int, 2>{12, 18}}}) {
+        const int p = topo[0] * topo[1];
+        for (int idx = 0; idx < 8; ++idx) {
+            const auto cfg = bf::FFTConfig::from_table1_index(idx);
+            std::vector<Msg> want;
+            for (const auto& phase : bf::DistributedFFT2D::plan_schedule(global, topo, cfg)) {
+                std::vector<std::size_t> bytes(static_cast<std::size_t>(p * p), 0);
+                for (const auto& m : phase.messages) {
+                    if (!cfg.use_alltoall) want.emplace_back(m.src, m.dst, m.bytes);
+                    bytes[static_cast<std::size_t>(m.src * p + m.dst)] = m.bytes;
+                }
+                for (int src = 0; cfg.use_alltoall && src < p; ++src) {
+                    for (int dst = 0; dst < p; ++dst) {
+                        if (dst != src) {
+                            want.emplace_back(src, dst,
+                                              bytes[static_cast<std::size_t>(src * p + dst)]);
+                        }
+                    }
+                }
+            }
+            std::sort(want.begin(), want.end());
+            if (cfg.use_alltoall) {
+                EXPECT_EQ(want.size(), static_cast<std::size_t>(3 * p * (p - 1)));
+            }
+            EXPECT_EQ(traced_forward(topo, global, idx), want)
+                << "config " << idx << " on " << topo[0] << "x" << topo[1];
+        }
+    }
+}
+
+TEST(ReshapeExchange, SteadyStateTransformsAreAllocationFree) {
+    if (beatnik::par::device::devcheck::enabled()) {
+        GTEST_SKIP() << "allocation counting not meaningful with devcheck armed";
+    }
+    if (bc::plancheck::enabled()) {
+        GTEST_SKIP() << "armed plancheck allocates flow records on first use";
+    }
+    constexpr int kRanks = 4;
+    for (int idx : {3, 7}) {
+        std::array<std::uint64_t, kRanks> deltas{};
+        run(kRanks, [&](bc::Communicator& comm) {
+            bf::DistributedFFT2D fft(comm, {32, 32}, {2, 2}, bf::FFTConfig::from_table1_index(idx));
+            std::vector<cplx> local(fft.local_box().size());
+            for (std::size_t k = 0; k < local.size(); ++k) {
+                local[k] = {static_cast<double>(k % 7), static_cast<double>(comm.rank())};
+            }
+            for (int it = 0; it < 2; ++it) {   // warm-up: binds the exchanges
+                fft.forward(local);
+                fft.inverse(local);
+            }
+            comm.barrier();
+            const std::uint64_t before = t_allocs;
+            for (int it = 0; it < 20; ++it) {
+                fft.forward(local);
+                fft.inverse(local);
+            }
+            deltas[static_cast<std::size_t>(comm.rank())] = t_allocs - before;
+            comm.barrier();
+        });
+        for (int r = 0; r < kRanks; ++r) {
+            EXPECT_EQ(deltas[static_cast<std::size_t>(r)], 0u)
+                << "config " << idx << ", rank " << r << " allocated in a steady-state transform";
+        }
+    }
+}
+
+TEST(ReshapeExchange, EmptyPeerGetsCapacityZeroSlotThatPinsAndVerifies) {
+    // Row strips <-> 2x2 bricks: strip r only meets the bricks of row
+    // group r/2, so every pair across row groups has an empty block in
+    // both reshapes of the family and gets a capacity-0 dense slot. Such
+    // a slot is skipped by Plan::pin_buffers and carries only zero-byte
+    // messages: host and device sweeps must agree with the p2p schedule,
+    // with the plan verifier armed throughout.
+    const bool was_armed = bc::plancheck::enabled();
+    bc::plancheck::arm();
+    const std::uint64_t hazards_before = bc::plancheck::hazard_count();
+    const std::array<int, 2> global{16, 16};
+    run(4, [&](bc::Communicator& comm) {
+        std::vector<bf::Box2D> strips;
+        for (int r = 0; r < 4; ++r) strips.push_back({{4 * r, 4 * r + 4}, {0, global[1]}});
+        const auto bricks = bf::brick_boxes(global, {2, 2});
+        const auto me = static_cast<std::size_t>(comm.rank());
+        bf::ReshapePlan to_bricks(comm.rank(), strips, bricks);
+        bf::ReshapePlan to_strips(comm.rank(), bricks, strips);
+        const std::array<bf::detail::BoxReshape<bf::Box2D>*, 2> family{&to_bricks, &to_strips};
+        bf::ReshapePlan::share_dense_exchange(family);
+        for (const auto& t : to_bricks.sends()) EXPECT_EQ(t.peer / 2, comm.rank() / 2);
+
+        const bf::Layout2D strip{strips[me], 1};
+        const bf::Layout2D brick{bricks[me], 1};
+        std::vector<cplx> in(strip.size());
+        for (std::size_t k = 0; k < in.size(); ++k) {
+            in[k] = {static_cast<double>(k), static_cast<double>(comm.rank())};
+        }
+        std::vector<cplx> want;
+        to_bricks.execute(comm, strip, in, brick, want, /*use_alltoall=*/false);
+
+        std::vector<cplx> host_out;
+        std::vector<cplx> host_back;
+        to_bricks.execute(comm, strip, in, brick, host_out, /*use_alltoall=*/true);
+        to_strips.execute(comm, brick, host_out, strip, host_back, /*use_alltoall=*/true);
+        EXPECT_EQ(host_out, want) << "rank " << comm.rank();
+        EXPECT_EQ(host_back, in) << "rank " << comm.rank();
+
+        // Device sweep on the already-bound shared exchange: pinned in
+        // place, capacity-0 slots skipped.
+        beatnik::par::device::Queue q;
+        to_bricks.enable_device(q);
+        to_strips.enable_device(q);
+        std::vector<cplx> dev_out(brick.size());
+        std::vector<cplx> dev_back(strip.size());
+        beatnik::par::device::ScopedHostRegistration pin_in{std::span<const cplx>(in)};
+        beatnik::par::device::ScopedHostRegistration pin_out{
+            std::span<const cplx>(dev_out.data(), dev_out.size())};
+        beatnik::par::device::ScopedHostRegistration pin_back{
+            std::span<const cplx>(dev_back.data(), dev_back.size())};
+        to_bricks.execute(comm, strip, in, brick, dev_out, /*use_alltoall=*/true);
+        to_strips.execute(comm, brick, dev_out, strip, dev_back, /*use_alltoall=*/true);
+        EXPECT_EQ(dev_out, want) << "rank " << comm.rank();
+        EXPECT_EQ(dev_back, in) << "rank " << comm.rank();
+    });
+    EXPECT_EQ(bc::plancheck::hazard_count(), hazards_before);
+    if (!was_armed) bc::plancheck::disarm();
 }
 
 TEST(DistributedFFT, SignedModeMapping) {
