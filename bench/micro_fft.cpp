@@ -64,6 +64,29 @@ void BM_SerialFFTStrided(benchmark::State& state) {
 }
 BENCHMARK(BM_SerialFFTStrided)->Args({1024, 1})->Args({1024, 64})->Args({4096, 64});
 
+void BM_SerialFFTLines(benchmark::State& state) {
+    // One distributed-FFT stage's worth of lines as one batched call:
+    // 64 lines of 256 points, forward then inverse. Arg 0 lays the lines
+    // out contiguously (reorder on); arg 1 interleaves them, so each line
+    // is strided by the line count (reorder off, gathered into scratch).
+    constexpr std::size_t n = 256;
+    constexpr std::size_t count = 64;
+    const bool strided = state.range(0) != 0;
+    const std::size_t line_stride = strided ? 1 : n;
+    const std::size_t elem_stride = strided ? count : 1;
+    bf::SerialFFT1D plan(n);
+    auto x = signal(n * count);
+    std::vector<bf::cplx> scratch(plan.scratch_size(elem_stride));
+    for (auto _ : state) {
+        plan.forward_lines(x.data(), count, line_stride, elem_stride, scratch);
+        plan.inverse_lines(x.data(), count, line_stride, elem_stride, scratch);
+        benchmark::DoNotOptimize(x.data());
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(2 * n * count));
+}
+BENCHMARK(BM_SerialFFTLines)->ArgName("strided")->Arg(0)->Arg(1);
+
 } // namespace
 
 BENCHMARK_MAIN();

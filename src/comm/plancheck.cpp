@@ -3,6 +3,7 @@
 /// the plan verifier (see plancheck.hpp for the model).
 #include "comm/plancheck.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 #include <limits>
 
@@ -137,6 +138,20 @@ void ContextState::register_plan(PlanDecl decl, std::uint64_t& out_id) {
     for (std::size_t i = 0; i < rec.decl.recvs.size(); ++i) {
         const auto& s = rec.decl.recvs[i];
         live_recvs_[{comm_id, s.peer_world, self_world, s.tag}] = {id, static_cast<int>(i)};
+    }
+    // Presize what the plan's hot path touches, so an armed verifier does
+    // not allocate there: a flow record per slot key (a zero record reads
+    // exactly like a missing one), and room for this rank's largest
+    // OR-wait (one edge per recv slot; one for a rendezvous or barrier).
+    for (const auto& s : rec.decl.sends) {
+        flows_.try_emplace({comm_id, self_world, s.peer_world, s.tag});
+    }
+    for (const auto& s : rec.decl.recvs) {
+        flows_.try_emplace({comm_id, s.peer_world, self_world, s.tag});
+    }
+    if (self_world >= 0 && static_cast<std::size_t>(self_world) < blocked_.size()) {
+        blocked_[static_cast<std::size_t>(self_world)].edges.reserve(
+            std::max<std::size_t>(rec.decl.recvs.size(), 1));
     }
     out_id = id;   // set before group verification: a throw below must stay unregisterable
 

@@ -46,7 +46,14 @@ DistributedFFT2D::DistributedFFT2D(comm::Communicator& comm, std::array<int, 2> 
       stage2_to_brick_(comm.rank(), plan.stage2, plan.bricks),
       to_stage2_(comm.rank(), plan.bricks, plan.stage2),
       stage2_to_stage1_(comm.rank(), plan.stage2, plan.stage1),
-      stage1_to_brick_(comm.rank(), plan.stage1, plan.bricks) {
+      stage1_to_brick_(comm.rank(), plan.stage1, plan.bricks),
+      plans_{&plan_for(static_cast<std::size_t>(global[0])),
+             &plan_for(static_cast<std::size_t>(global[1]))} {
+    for (const Stage* st : {&stage1_, &stage2_}) {
+        const SerialFFT1D& p = *plans_[static_cast<std::size_t>(st->axis)];
+        line_scratch_.resize(
+            std::max(line_scratch_.size(), p.scratch_size(st->layout.stride(st->axis))));
+    }
     const std::array<detail::BoxReshape<Box2D>*, 6> family{
         &to_stage1_, &stage1_to_stage2_, &stage2_to_brick_,
         &to_stage2_, &stage2_to_stage1_, &stage1_to_brick_};
@@ -54,22 +61,22 @@ DistributedFFT2D::DistributedFFT2D(comm::Communicator& comm, std::array<int, 2> 
 }
 
 void DistributedFFT2D::transform_stage(std::vector<cplx>& data, const Stage& stage,
-                                       bool inverse) const {
+                                       bool inverse) {
     const Box2D& box = stage.layout.box;
     const int axis = stage.axis;
     const int n = axis == 0 ? box.i.extent() : box.j.extent();
     BEATNIK_REQUIRE(n == global_[static_cast<std::size_t>(axis)],
                     "stage must own complete lines along its transform axis");
-    const auto& plan = plan_for(static_cast<std::size_t>(n));
-    const std::size_t stride = stage.layout.stride(axis);
-    const grid::Range cross_range = axis == 0 ? box.j : box.i;
-    for (int cross = cross_range.begin; cross < cross_range.end; ++cross) {
-        cplx* line = data.data() + stage.layout.line_offset(axis, cross);
-        if (inverse) {
-            plan.inverse_strided(line, stride);
-        } else {
-            plan.forward_strided(line, stride);
-        }
+    // Local offsets start at 0 and are affine in the cross index, so the
+    // stage's lines are one batch: line_stride apart along the other axis.
+    const SerialFFT1D& plan = *plans_[static_cast<std::size_t>(axis)];
+    const auto count = static_cast<std::size_t>(axis == 0 ? box.j.extent() : box.i.extent());
+    const std::size_t line_stride = stage.layout.stride(1 - axis);
+    const std::size_t elem_stride = stage.layout.stride(axis);
+    if (inverse) {
+        plan.inverse_lines(data.data(), count, line_stride, elem_stride, line_scratch_);
+    } else {
+        plan.forward_lines(data.data(), count, line_stride, elem_stride, line_scratch_);
     }
 }
 
@@ -128,8 +135,7 @@ std::vector<PlannedPhase> DistributedFFT2D::plan_schedule(std::array<int, 2> glo
         phase.label = label;
         phase.is_alltoall = config.use_alltoall;
         for (int r = 0; r < p; ++r) {
-            ReshapePlan rp(r, src, dst);
-            for (const auto& t : rp.sends()) {
+            for (const auto& t : detail::overlaps(src[static_cast<std::size_t>(r)], dst)) {
                 if (t.peer == r) continue; // self copies cost no network
                 phase.messages.push_back({r, t.peer, t.box.size() * sizeof(cplx)});
             }

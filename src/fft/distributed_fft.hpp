@@ -121,7 +121,8 @@ private:
     DistributedFFT2D(comm::Communicator& comm, std::array<int, 2> global, FFTConfig config,
                      const StagePlan& plan);
 
-    void transform_stage(std::vector<cplx>& data, const Stage& stage, bool inverse) const;
+    /// Transform every line of \p stage along its axis: one batched call.
+    void transform_stage(std::vector<cplx>& data, const Stage& stage, bool inverse);
 
     comm::Communicator* comm_;
     std::array<int, 2> global_;
@@ -145,6 +146,11 @@ private:
     std::vector<cplx> work_;
     std::vector<cplx> work2_;
     std::vector<par::device::ScopedHostRegistration> pinned_;
+    /// Line plans per axis, resolved once from the process-wide cache.
+    std::array<const SerialFFT1D*, 2> plans_;
+    /// Gather buffer for strided lines and Bluestein convolutions, sized
+    /// for both stages at construction.
+    std::vector<cplx> line_scratch_;
 };
 
 } // namespace beatnik::fft

@@ -109,7 +109,10 @@ DistributedFFT3D::StagePlan DistributedFFT3D::make_plan(std::array<int, 3> globa
 
 DistributedFFT3D::DistributedFFT3D(comm::Communicator& comm, std::array<int, 3> global,
                                    std::array<int, 2> topo_dims, FFTConfig config)
-    : comm_(&comm), global_(global), config_(config) {
+    : comm_(&comm), global_(global), config_(config),
+      plans_{&plan_for(static_cast<std::size_t>(global[0])),
+             &plan_for(static_cast<std::size_t>(global[1])),
+             &plan_for(static_cast<std::size_t>(global[2]))} {
     BEATNIK_REQUIRE(comm.size() == topo_dims[0] * topo_dims[1],
                     "communicator size must match the topology");
     auto plan = make_plan(global, topo_dims, config);
@@ -135,31 +138,51 @@ DistributedFFT3D::DistributedFFT3D(comm::Communicator& comm, std::array<int, 3> 
         for (auto& r : *path) family.push_back(&r);
     }
     Reshape3D::share_dense_exchange(family);
+    // Every (layout, axis) pair transform() runs; the slab path leaves
+    // stage_c_ empty.
+    for (const auto& [layout, axis] : {std::pair{&brick_, 2}, std::pair{&stage_b_, 1},
+                                       std::pair{&stage_b_, 0}, std::pair{&stage_c_, 0}}) {
+        if (layout->size() == 0) continue;
+        const std::size_t need =
+            plans_[static_cast<std::size_t>(axis)]->scratch_size(layout->stride(axis));
+        line_scratch_.resize(std::max(line_scratch_.size(), need));
+    }
 }
 
 void DistributedFFT3D::transform_axis(std::vector<cplx>& data, const Layout3D& layout, int axis,
-                                      bool inverse) const {
+                                      bool inverse) {
     const Box3D& b = layout.box;
-    const grid::Range line = axis == 0 ? b.i : (axis == 1 ? b.j : b.k);
+    const std::array<grid::Range, 3> ranges{b.i, b.j, b.k};
+    const grid::Range line = ranges[static_cast<std::size_t>(axis)];
     BEATNIK_REQUIRE(line.begin == 0 &&
                         line.end == global_[static_cast<std::size_t>(axis)],
                     "stage must own complete lines along its transform axis");
-    const auto& plan = plan_for(static_cast<std::size_t>(line.extent()));
-    const std::size_t stride = layout.stride(axis);
-    const grid::Range a = axis == 0 ? b.j : b.i;
-    const grid::Range c = axis == 2 ? b.j : b.k;
-    for (int x = a.begin; x < a.end; ++x) {
-        for (int y = c.begin; y < c.end; ++y) {
-            std::size_t base;
-            if (axis == 0) {
-                base = layout.offset(0, x, y);
-            } else if (axis == 1) {
-                base = layout.offset(x, 0, y);
-            } else {
-                base = layout.offset(x, y, 0);
-            }
-            cplx* p = data.data() + base;
-            inverse ? plan.inverse_strided(p, stride) : plan.forward_strided(p, stride);
+    // The lines are indexed by the two cross axes; local offsets start at 0
+    // and are affine in each. Take the cross axis with the smaller stride
+    // as the batch axis; when the other one continues it at the same
+    // stride (inner extent * inner stride), every line is one batch.
+    int inner = axis == 0 ? 1 : 0;
+    int outer = 3 - axis - inner;
+    if (layout.stride(outer) < layout.stride(inner)) std::swap(inner, outer);
+    auto extent = [&](int a) {
+        return static_cast<std::size_t>(ranges[static_cast<std::size_t>(a)].extent());
+    };
+    std::size_t count = extent(inner);
+    std::size_t planes = extent(outer);
+    const std::size_t line_stride = layout.stride(inner);
+    const std::size_t plane_stride = layout.stride(outer);
+    if (plane_stride == count * line_stride) {
+        count *= planes;
+        planes = 1;
+    }
+    const SerialFFT1D& plan = *plans_[static_cast<std::size_t>(axis)];
+    const std::size_t elem_stride = layout.stride(axis);
+    for (std::size_t p = 0; p < planes; ++p) {
+        cplx* first = data.data() + p * plane_stride;
+        if (inverse) {
+            plan.inverse_lines(first, count, line_stride, elem_stride, line_scratch_);
+        } else {
+            plan.forward_lines(first, count, line_stride, elem_stride, line_scratch_);
         }
     }
 }
@@ -214,8 +237,7 @@ std::vector<PlannedPhase> DistributedFFT3D::plan_schedule(std::array<int, 3> glo
         phase.label = label;
         phase.is_alltoall = config.use_alltoall;
         for (int r = 0; r < p; ++r) {
-            Reshape3D rp(r, src, dst);
-            for (const auto& t : rp.sends()) {
+            for (const auto& t : detail::overlaps(src[static_cast<std::size_t>(r)], dst)) {
                 if (t.peer == r) continue;
                 phase.messages.push_back({r, t.peer, t.box.size() * sizeof(cplx)});
             }

@@ -127,8 +127,10 @@ private:
                                FFTConfig config);
 
     void transform(std::vector<cplx>& data, bool inverse);
+    /// Transform every line of \p layout along \p axis: one batched call,
+    /// or one per plane when the lines do not form a single progression.
     void transform_axis(std::vector<cplx>& data, const Layout3D& layout, int axis,
-                        bool inverse) const;
+                        bool inverse);
 
     comm::Communicator* comm_;
     std::array<int, 3> global_;
@@ -142,6 +144,11 @@ private:
     // Persistent stage buffers, reused across transforms.
     std::vector<cplx> work_b_;
     std::vector<cplx> work_c_;
+    /// Line plans per axis, resolved once from the process-wide cache.
+    std::array<const SerialFFT1D*, 3> plans_;
+    /// Gather buffer for strided lines and Bluestein convolutions, sized
+    /// for every stage at construction.
+    std::vector<cplx> line_scratch_;
 };
 
 } // namespace beatnik::fft

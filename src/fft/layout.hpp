@@ -41,13 +41,6 @@ struct Layout2D {
         if (axis == fast_axis) return 1;
         return static_cast<std::size_t>(fast_axis == 1 ? box.j.extent() : box.i.extent());
     }
-
-    /// Offset of the first element of the 1D line that runs along \p axis
-    /// and crosses the box at cross-index \p cross (a global index on the
-    /// other axis).
-    [[nodiscard]] std::size_t line_offset(int axis, int cross) const {
-        return axis == 0 ? offset(box.i.begin, cross) : offset(cross, box.j.begin);
-    }
 };
 
 } // namespace beatnik::fft

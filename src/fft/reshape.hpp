@@ -8,9 +8,10 @@
 /// AllToAll knob picking its schedule: only overlapping peers (p2p), or
 /// all pairs on an exchange shared by a family of reshapes (dense).
 ///
-/// The plan itself is communication-free and can be built for any rank
-/// count — the scaling benchmarks build P=1024 plans and feed their
-/// message schedules straight into the netsim performance model.
+/// The intersection itself (detail::overlaps) is communication-free and
+/// runs for any rank count without building an exchange — the scaling
+/// benchmarks list P=1024 schedules with it and feed them straight into
+/// the netsim performance model.
 #pragma once
 
 #include <memory>
@@ -25,18 +26,38 @@ namespace beatnik::fft {
 
 namespace detail {
 
-/// What both reshape planners share: heFFTe's box-intersection plan for
-/// one rank and its seats on the two exchanges. Copies share the
-/// exchanges, so forward/inverse paths over identical box lists reuse the
-/// same channels.
+/// One planned transfer rectangle between a pair of ranks.
+template <class Box>
+struct BoxTransfer {
+    int peer = 0;   ///< The other rank.
+    Box box;        ///< Global index rectangle carried by this transfer.
+};
+
+/// heFFTe's box intersection: \p mine against every rank's box in
+/// \p boxes, empty overlaps dropped, in rank order (self included). A
+/// rank's sends are its source box against the destination list, its
+/// recvs its destination box against the source list. Communication-free,
+/// so planners list a reshape's messages for any rank count without
+/// building its exchanges.
+template <class Box>
+[[nodiscard]] std::vector<BoxTransfer<Box>> overlaps(const Box& mine,
+                                                     const std::vector<Box>& boxes) {
+    std::vector<BoxTransfer<Box>> out;
+    for (std::size_t r = 0; r < boxes.size(); ++r) {
+        Box b = mine.intersect(boxes[r]);
+        if (!b.empty()) out.push_back({static_cast<int>(r), b});
+    }
+    return out;
+}
+
+/// What both reshape planners share: the box-intersection plan for one
+/// rank and its seats on the two exchanges. Copies share the exchanges,
+/// so forward/inverse paths over identical box lists reuse the same
+/// channels.
 template <class Box>
 class BoxReshape {
 public:
-    /// One planned transfer rectangle between a pair of ranks.
-    struct Transfer {
-        int peer = 0;   ///< The other rank.
-        Box box;        ///< Global index rectangle carried by this transfer.
-    };
+    using Transfer = BoxTransfer<Box>;
 
     /// Plan the reshape for one rank. Box lists must tile the same global
     /// space (checked in debug builds via total element count).
@@ -45,17 +66,9 @@ public:
         BEATNIK_REQUIRE(dst_boxes.size() == src_boxes.size(),
                         "reshape: box lists must have one box per rank");
         BEATNIK_REQUIRE(rank >= 0 && rank < p, "reshape: rank out of range");
-        const Box& mine_src = src_boxes[static_cast<std::size_t>(rank)];
-        const Box& mine_dst = dst_boxes[static_cast<std::size_t>(rank)];
-        for (int r = 0; r < p; ++r) {
-            Box out = mine_src.intersect(dst_boxes[static_cast<std::size_t>(r)]);
-            if (!out.empty()) sends_.push_back({r, out});
-            Box in = mine_dst.intersect(src_boxes[static_cast<std::size_t>(r)]);
-            if (!in.empty()) {
-                recv_coverage_ += in.size();
-                recvs_.push_back({r, in});
-            }
-        }
+        sends_ = overlaps(src_boxes[static_cast<std::size_t>(rank)], dst_boxes);
+        recvs_ = overlaps(dst_boxes[static_cast<std::size_t>(rank)], src_boxes);
+        for (const auto& t : recvs_) recv_coverage_ += t.box.size();
         p2p_ = PlanExchange::make(rank, /*dense=*/false, p);
         p2p_route_ = p2p_->join(sends_, recvs_);
         dense_ = PlanExchange::make(rank, /*dense=*/true, p);

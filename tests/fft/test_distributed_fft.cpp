@@ -7,15 +7,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
 #include <numbers>
+#include <string>
 #include <tuple>
 
 #include "base/rng.hpp"
 #include "comm/plancheck.hpp"
 #include "fft/distributed_fft.hpp"
+#include "fft/distributed_fft3d.hpp"
 #include "par/device/devcheck.hpp"
 #include "test_env.hpp"
 
@@ -303,39 +306,62 @@ TEST(ReshapeExchange, AllToAllIsDenseAndP2PMessagesOnlyOverlappingPeers) {
     }
 }
 
+/// Allocations each of 4 ranks makes over 20 forward+inverse pairs of the
+/// transform \p make_fft builds, after a two-pair warm-up that binds the
+/// exchanges; every count must be zero.
+template <class MakeFft>
+void expect_steady_state_allocation_free(const std::string& what, MakeFft make_fft) {
+    constexpr int kRanks = 4;
+    std::array<std::uint64_t, kRanks> deltas{};
+    run(kRanks, [&](bc::Communicator& comm) {
+        auto fft = make_fft(comm);
+        std::vector<cplx> local(fft.local_box().size());
+        for (std::size_t k = 0; k < local.size(); ++k) {
+            local[k] = {static_cast<double>(k % 7), static_cast<double>(comm.rank())};
+        }
+        for (int it = 0; it < 2; ++it) {
+            fft.forward(local);
+            fft.inverse(local);
+        }
+        comm.barrier();
+        const std::uint64_t before = t_allocs;
+        for (int it = 0; it < 20; ++it) {
+            fft.forward(local);
+            fft.inverse(local);
+        }
+        deltas[static_cast<std::size_t>(comm.rank())] = t_allocs - before;
+        comm.barrier();
+    });
+    for (int r = 0; r < kRanks; ++r) {
+        EXPECT_EQ(deltas[static_cast<std::size_t>(r)], 0u)
+            << what << ", rank " << r << " allocated in a steady-state transform";
+    }
+}
+
 TEST(ReshapeExchange, SteadyStateTransformsAreAllocationFree) {
     if (beatnik::par::device::devcheck::enabled()) {
         GTEST_SKIP() << "allocation counting not meaningful with devcheck armed";
     }
-    if (bc::plancheck::enabled()) {
-        GTEST_SKIP() << "armed plancheck allocates flow records on first use";
-    }
-    constexpr int kRanks = 4;
-    for (int idx : {3, 7}) {
-        std::array<std::uint64_t, kRanks> deltas{};
-        run(kRanks, [&](bc::Communicator& comm) {
-            bf::DistributedFFT2D fft(comm, {32, 32}, {2, 2}, bf::FFTConfig::from_table1_index(idx));
-            std::vector<cplx> local(fft.local_box().size());
-            for (std::size_t k = 0; k < local.size(); ++k) {
-                local[k] = {static_cast<double>(k % 7), static_cast<double>(comm.rank())};
-            }
-            for (int it = 0; it < 2; ++it) {   // warm-up: binds the exchanges
-                fft.forward(local);
-                fft.inverse(local);
-            }
-            comm.barrier();
-            const std::uint64_t before = t_allocs;
-            for (int it = 0; it < 20; ++it) {
-                fft.forward(local);
-                fft.inverse(local);
-            }
-            deltas[static_cast<std::size_t>(comm.rank())] = t_allocs - before;
-            comm.barrier();
-        });
-        for (int r = 0; r < kRanks; ++r) {
-            EXPECT_EQ(deltas[static_cast<std::size_t>(r)], 0u)
-                << "config " << idx << ", rank " << r << " allocated in a steady-state transform";
+    // Configs 2 and 6 keep stage 2 mesh-ordered (strided lines); 24 is not
+    // a power of two (Bluestein lines).
+    for (int idx : {2, 3, 6, 7}) {
+        for (int n : {32, 24}) {
+            const auto config = bf::FFTConfig::from_table1_index(idx);
+            expect_steady_state_allocation_free(
+                "2D config " + std::to_string(idx) + ", n " + std::to_string(n),
+                [&](bc::Communicator& comm) {
+                    return bf::DistributedFFT2D(comm, {n, n}, {2, 2}, config);
+                });
         }
+    }
+    // 3D: slab path (config 1), strided pencils (2), reordered pencils over
+    // the dense exchange (7); j = 12 runs Bluestein lines.
+    for (int idx : {1, 2, 7}) {
+        const auto config = bf::FFTConfig::from_table1_index(idx);
+        expect_steady_state_allocation_free(
+            "3D config " + std::to_string(idx), [&](bc::Communicator& comm) {
+                return bf::DistributedFFT3D(comm, {8, 12, 8}, {2, 2}, config);
+            });
     }
 }
 
