@@ -6,6 +6,9 @@
 /// EXPERIMENTS.md discusses the mapping).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cmath>
+
 #include "base/rng.hpp"
 #include "fft/serial_fft.hpp"
 
@@ -20,18 +23,32 @@ std::vector<bf::cplx> signal(std::size_t n) {
     return x;
 }
 
+/// Every benchmark repeats its transforms on one buffer, so each forward
+/// is paired with its (1/n-scaled) inverse to keep the values bounded —
+/// unpaired unscaled forwards grow by ~sqrt(n) per call and overflow to
+/// inf/NaN, and the timings would then measure non-finite arithmetic.
+/// Refuse the record if that ever happens anyway.
+void require_finite(benchmark::State& state, const std::vector<bf::cplx>& x) {
+    const bool finite = std::all_of(x.begin(), x.end(), [](const bf::cplx& v) {
+        return std::isfinite(v.real()) && std::isfinite(v.imag());
+    });
+    if (!finite) state.SkipWithError("transform output is not finite");
+}
+
 void BM_SerialFFTPow2(benchmark::State& state) {
     const auto n = static_cast<std::size_t>(state.range(0));
     bf::SerialFFT1D plan(n);
     auto x = signal(n);
     for (auto _ : state) {
         plan.forward(x.data());
+        plan.inverse(x.data());
         benchmark::DoNotOptimize(x.data());
     }
+    require_finite(state, x);
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                            static_cast<std::int64_t>(n));
+                            static_cast<std::int64_t>(2 * n));
     state.counters["flops_rate"] =
-        benchmark::Counter(plan.flops() * static_cast<double>(state.iterations()),
+        benchmark::Counter(2.0 * plan.flops() * static_cast<double>(state.iterations()),
                            benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_SerialFFTPow2)->Arg(256)->Arg(1024)->Arg(4096)->Arg(16384);
@@ -42,10 +59,12 @@ void BM_SerialFFTBluestein(benchmark::State& state) {
     auto x = signal(n);
     for (auto _ : state) {
         plan.forward(x.data());
+        plan.inverse(x.data());
         benchmark::DoNotOptimize(x.data());
     }
+    require_finite(state, x);
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                            static_cast<std::int64_t>(n));
+                            static_cast<std::int64_t>(2 * n));
 }
 BENCHMARK(BM_SerialFFTBluestein)->Arg(243)->Arg(768)->Arg(4864);
 
@@ -57,10 +76,12 @@ void BM_SerialFFTStrided(benchmark::State& state) {
     auto x = signal(n * stride);
     for (auto _ : state) {
         plan.forward_strided(x.data(), stride);
+        plan.inverse_strided(x.data(), stride);
         benchmark::DoNotOptimize(x.data());
     }
+    require_finite(state, x);
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                            static_cast<std::int64_t>(n));
+                            static_cast<std::int64_t>(2 * n));
 }
 BENCHMARK(BM_SerialFFTStrided)->Args({1024, 1})->Args({1024, 64})->Args({4096, 64});
 
@@ -82,6 +103,7 @@ void BM_SerialFFTLines(benchmark::State& state) {
         plan.inverse_lines(x.data(), count, line_stride, elem_stride, scratch);
         benchmark::DoNotOptimize(x.data());
     }
+    require_finite(state, x);
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                             static_cast<std::int64_t>(2 * n * count));
 }

@@ -1,20 +1,23 @@
 /// \file micro_kernels.cpp
 /// \brief Single-rank kernel microbenchmarks: the Birkhoff–Rott pair
-/// kernel, neighbor-search build + query (hash-map bin grid vs the dense
-/// cell list, host and device builds), particle migration, and one full
-/// cutoff-solver derivative evaluation — the measured rates behind
-/// MachineModel::pair_rate and the ablation data for the cutoff/bin-size
-/// design choices.
+/// kernel, neighbor-search build + query (the dense cell list, host and
+/// device builds), the cutoff solver's accumulate kernel, particle
+/// migration, and one full cutoff-solver derivative evaluation — the
+/// measured rates behind MachineModel::pair_rate and the ablation data for
+/// the cutoff/bin-size design choices.
 ///
 /// Records (compare_benchmarks.py schema; regression-tracked against
 /// bench/results/baseline_micro_kernels.json in CI):
 ///   * op "br_pairs",  algo scalar — ns per kernel pair evaluation;
-///   * op "nbr_build", algo bin_host | cell_host | cell_device — ns per
-///     point to build the search structure (BinGrid3D hash-map binning
-///     vs CellList3D count–scan–fill, serial and device kernels);
-///   * op "nbr_query", algo bin_host | cell_host | cell_device — ns per
-///     point to enumerate all self-query neighbors (the device column is
-///     the fused visit_neighbors kernel the cutoff solver runs);
+///   * op "nbr_build", algo cell_host | cell_device — ns per point to
+///     build the CellList3D (count–scan–fill, serial and device kernels);
+///   * op "nbr_query", algo cell_host | cell_device — ns per point to
+///     enumerate all self-query neighbors over the shared stencil-row
+///     walk (the device column is a fused visit_neighbors kernel);
+///   * op "br_accumulate", algo host — ns per query of the cutoff
+///     solver's accumulate kernel (cutoff_br_sum over the cell-ordered
+///     source table) on one rank's share of the singlemode 96^2 sheet:
+///     the x < 0, y < 0 quadrant of [-3,3]^2 plus its ghosts, radius 0.5;
 ///   * op "migrate",   algo host — ns per particle exchanged (8 ranks,
 ///     50% off-rank);
 ///   * op "cutoff_eval", algo host — ns per solver step (4 ranks,
@@ -95,17 +98,11 @@ Result bench_br_pairs(std::size_t n, int iters) {
             ns / static_cast<double>(n)};
 }
 
-/// Build ns/point for one of the three search structures.
+/// Build ns/point for the host or device cell-list build.
 Result bench_nbr_build(const std::string& algo, std::size_t n, double radius, int iters) {
     auto pts = random_cloud(n, 11, 1.5);
     double ns = 0.0;
-    if (algo == "bin_host") {
-        ns = time_ns(iters, [&] {
-            bs::BinGrid3D grid(pts, radius);
-            volatile std::size_t sink = grid.size();
-            (void)sink;
-        });
-    } else if (algo == "cell_host") {
+    if (algo == "cell_host") {
         bs::CellList3D cells;
         ns = time_ns(iters, [&] { cells.build_host(pts, radius); });
     } else { // cell_device
@@ -124,14 +121,7 @@ Result bench_nbr_build(const std::string& algo, std::size_t n, double radius, in
 Result bench_nbr_query(const std::string& algo, std::size_t n, double radius, int iters) {
     auto pts = random_cloud(n, 11, 1.5);
     double ns = 0.0;
-    if (algo == "bin_host") {
-        bs::BinGrid3D grid(pts, radius);
-        ns = time_ns(iters, [&] {
-            auto list = grid.query(pts, 0);
-            volatile std::size_t sink = list.indices.size();
-            (void)sink;
-        });
-    } else if (algo == "cell_host") {
+    if (algo == "cell_host") {
         bs::CellList3D cells;
         cells.build_host(pts, radius);
         ns = time_ns(iters, [&] {
@@ -166,6 +156,69 @@ Result bench_nbr_query(const std::string& algo, std::size_t n, double radius, in
     }
     return {"nbr_query", algo, 1, pts.size() * sizeof(double), iters,
             ns / static_cast<double>(n)};
+}
+
+/// ns per query of the cutoff accumulate kernel on rank 0's sources of the
+/// highorder singlemode deck at 96^2 on 4 ranks (initial sheet): 48^2
+/// owned nodes followed by the ghosts within the cutoff of the quadrant.
+Result bench_br_accumulate(int iters) {
+    constexpr int kMesh = 96;
+    constexpr double kCutoff = 0.5;
+    const b::Params params = b::decks::singlemode_highorder(kMesh, kCutoff);
+    const double lo = params.surface_low[0];
+    const double len = params.surface_high[0] - lo;
+    std::vector<b::Vec3> owned_pos, owned_gam, ghost_pos, ghost_gam;
+    for (int i = 0; i < kMesh; ++i) {
+        for (int j = 0; j < kMesh; ++j) {
+            const double xhat = static_cast<double>(i) / (kMesh - 1);
+            const double yhat = static_cast<double>(j) / (kMesh - 1);
+            const b::Vec3 p{lo + len * xhat, lo + len * yhat,
+                            b::singlemode_eta(params.initial, xhat, yhat)};
+            const b::Vec3 g{std::sin(3.0 * p.x), std::cos(2.0 * p.y), 0.1 * p.x * p.y};
+            if (p.x < 0.0 && p.y < 0.0) {
+                owned_pos.push_back(p);
+                owned_gam.push_back(g);
+            } else if (p.x < kCutoff && p.y < kCutoff) {
+                ghost_pos.push_back(p);
+                ghost_gam.push_back(g);
+            }
+        }
+    }
+    std::vector<b::Vec3> pos = owned_pos, gam = owned_gam;
+    pos.insert(pos.end(), ghost_pos.begin(), ghost_pos.end());
+    gam.insert(gam.end(), ghost_gam.begin(), ghost_gam.end());
+    const std::size_t n_owned = owned_pos.size();
+    const std::size_t n_src = pos.size();
+    std::vector<double> crd(3 * n_src);
+    for (std::size_t s = 0; s < n_src; ++s) {
+        crd[3 * s + 0] = pos[s].x;
+        crd[3 * s + 1] = pos[s].y;
+        crd[3 * s + 2] = pos[s].z;
+    }
+    bs::CellList3D cells;
+    cells.build_host(crd, kCutoff);
+    b::CellSourceTable store;
+    const b::CellSources table = store.ensure(n_src, /*pin=*/false);
+    for (std::size_t m = 0; m < n_src; ++m) {
+        const std::uint32_t s = cells.cell_points()[m];
+        table.set(m, s, pos[s], gam[s]);
+    }
+    const bs::CellGrid g = cells.grid();
+    const std::uint32_t* offs = cells.cell_offsets();
+    const double r2 = kCutoff * kCutoff;
+    volatile double sink = 0.0;
+    const double ns = time_ns(iters, [&] {
+        double acc = 0.0;
+        for (std::size_t q = 0; q < n_owned; ++q) {
+            acc += b::cutoff_br_sum(g, offs, table, pos[q], static_cast<std::uint32_t>(q), r2,
+                                    1e-4)
+                       .sum.z;
+        }
+        sink = acc;
+    });
+    (void)sink;
+    return {"br_accumulate", "host", 1, n_src * (6 * sizeof(double) + sizeof(std::uint32_t)),
+            iters, ns / static_cast<double>(n_owned)};
 }
 
 // The multi-rank benches time the collective operation from inside one
@@ -254,10 +307,11 @@ int main(int argc, char** argv) {
     // 20k points at cutoff-solver-like density (~8 neighbors/point).
     constexpr std::size_t kPoints = 20000;
     constexpr double kRadius = 0.2;
-    for (const char* algo : {"bin_host", "cell_host", "cell_device"}) {
+    for (const char* algo : {"cell_host", "cell_device"}) {
         results.push_back(bench_nbr_build(algo, kPoints, kRadius, n(100)));
         results.push_back(bench_nbr_query(algo, kPoints, kRadius, n(50)));
     }
+    results.push_back(bench_br_accumulate(n(50)));
     results.push_back(bench_migrate(8, 50, n(50)));
     results.push_back(bench_cutoff_eval(4, 32, n(20)));
 

@@ -15,14 +15,22 @@
 
 namespace beatnik {
 
+/// br_kernel (below) on a separation r = target - source whose squared length
+/// \p r2 = norm2(r) the caller already formed (the cutoff accumulate
+/// reuses its distance test). Same operands, same operation order: the
+/// result is bitwise identical to br_kernel's.
+inline Vec3 br_kernel_sep(const Vec3& r, double r2, const Vec3& source_gamma, double eps2) {
+    double d2 = r2 + eps2;
+    double inv = 1.0 / (d2 * std::sqrt(d2));
+    return cross(source_gamma, r) * inv;
+}
+
 /// One evaluation of the desingularized Biot–Savart kernel (without the
 /// dA/4*pi prefactor, applied once per sum).
 inline Vec3 br_kernel(const Vec3& target, const Vec3& source_pos, const Vec3& source_gamma,
                       double eps2) {
     Vec3 r = target - source_pos;
-    double d2 = norm2(r) + eps2;
-    double inv = 1.0 / (d2 * std::sqrt(d2));
-    return cross(source_gamma, r) * inv;
+    return br_kernel_sep(r, norm2(r), source_gamma, eps2);
 }
 
 class BRSolverBase {

@@ -9,8 +9,10 @@
 ///      decomposition,
 ///   2. halo (ghost-copy) points near block boundaries to neighbors
 ///      within the cutoff,
-///   3. build fixed-radius neighbor lists (cell list = ArborX stand-in),
-///   4. accumulate the kernel over each owned point's neighbor list,
+///   3. build fixed-radius neighbor lists (cell list = ArborX stand-in)
+///      and gather the sources into a cell-ordered table,
+///   4. accumulate the kernel for each owned point over its stencil rows
+///      of that table (cutoff_br_sum below),
 ///   5. migrate the resulting velocities back to the owning 2D-mesh rank.
 /// This produces the dynamic, position-dependent, irregular communication
 /// the benchmark is designed to exercise; per-rank spatial ownership
@@ -24,9 +26,10 @@
 ///     over the staging;
 ///   * device path (`Backend::device`, mirrored fields) — pack/
 ///     canonicalize/ownership, ghost-target generation, the cell-list
-///     build and the kernel accumulation are device kernels over pinned
-///     staging; only the three migrate exchanges touch host-visible
-///     memory (the comm plans pack from the pinned staging on the host).
+///     build, the source-table gather and the kernel accumulation are
+///     device kernels over pinned staging; only the three migrate
+///     exchanges touch host-visible memory (the comm plans pack from the
+///     pinned staging on the host).
 ///
 /// Queue discipline under overlap (the default; BEATNIK_CUTOFF_OVERLAP=0
 /// or set_overlap(false) selects the fenced single-queue schedule):
@@ -64,6 +67,91 @@
 #include "telemetry/telemetry.hpp"
 
 namespace beatnik {
+
+/// The cutoff accumulate's sources in cell-list (CSR slot) order, as a
+/// kernel-capturable struct-of-arrays view: slot m holds source
+/// cell_points[m]'s position, vortex strength and index, so each stencil
+/// row of search::for_each_stencil_row is one contiguous sweep.
+struct CellSources {
+    double* x = nullptr;
+    double* y = nullptr;
+    double* z = nullptr;
+    double* gx = nullptr;
+    double* gy = nullptr;
+    double* gz = nullptr;
+    std::uint32_t* id = nullptr;
+
+    void set(std::size_t m, std::uint32_t s, const Vec3& pos, const Vec3& gamma) const {
+        x[m] = pos.x;
+        y[m] = pos.y;
+        z[m] = pos.z;
+        gx[m] = gamma.x;
+        gy[m] = gamma.y;
+        gz[m] = gamma.z;
+        id[m] = s;
+    }
+};
+
+/// Grow-only storage behind a CellSources view: the six value arrays are
+/// consecutive blocks of one store (x | y | z | gx | gy | gz), so a
+/// kernel's footprint is two exact ranges: 6n doubles from x, and n
+/// indices from id.
+class CellSourceTable {
+public:
+    /// Size the table for \p n sources — pinned for kernel access when
+    /// \p pin — and return its view.
+    CellSources ensure(std::size_t n, bool pin) {
+        if (pin) {
+            values_.ensure_pinned(6 * n);
+            ids_.ensure_pinned(n);
+        } else {
+            values_.ensure(6 * n);
+            ids_.ensure(n);
+        }
+        double* v = values_.data();
+        return {v, v + n, v + 2 * n, v + 3 * n, v + 4 * n, v + 5 * n, ids_.data()};
+    }
+
+private:
+    par::device::PinnedStore<double> values_;
+    par::device::PinnedStore<std::uint32_t> ids_;
+};
+
+/// Kernel sum and pair count of one cutoff query.
+struct CutoffBRSum {
+    Vec3 sum;
+    std::uint32_t pairs = 0;
+};
+
+/// One query of the cutoff accumulate: the br_kernel sum at \p qp over
+/// every table slot strictly within the cutoff (\p r2 = cutoff^2),
+/// skipping the slot of source \p self. Each stencil row is a contiguous
+/// sweep of the table: distance test, self-exclusion, then the kernel.
+///
+/// Bitwise contract: the hits arrive in the cell list's enumeration
+/// order, and each contributes br_kernel's operands in br_kernel's
+/// operation order — r = q - s; |r|^2 summed x, y, z left to right (the
+/// distance test, reused for d2); inv = 1/(d2 sqrt(d2)); cross(gamma, r)
+/// * inv — folded into the sum left to right. The result is therefore
+/// bitwise identical to visit_neighbors + br_kernel over the unsorted
+/// sources (tests/core/test_brsolvers.cpp keeps that loop as its oracle).
+inline CutoffBRSum cutoff_br_sum(const search::CellGrid& g, const std::uint32_t* cell_offsets,
+                                 const CellSources& t, const Vec3& qp, std::uint32_t self,
+                                 double r2, double eps2) {
+    const double q[3] = {qp.x, qp.y, qp.z};
+    CutoffBRSum acc;
+    search::for_each_stencil_row(g, cell_offsets, q, [&](std::uint32_t begin, std::uint32_t end) {
+        for (std::uint32_t m = begin; m < end; ++m) {
+            const Vec3 r{qp.x - t.x[m], qp.y - t.y[m], qp.z - t.z[m]};
+            const double rr = r.x * r.x + r.y * r.y + r.z * r.z;
+            if (rr < r2 && t.id[m] != self) {
+                acc.sum += br_kernel_sep(r, rr, {t.gx[m], t.gy[m], t.gz[m]}, eps2);
+                ++acc.pairs;
+            }
+        }
+    });
+    return acc;
+}
 
 class CutoffBRSolver final : public BRSolverBase {
 public:
@@ -293,7 +381,8 @@ public:
             });
         last_spatial_ghosts_ = n_ghosts;
 
-        // ---- step 3: cell list over owned + ghost sources. Owned points
+        // ---- step 3: cell list over owned + ghost sources, then one
+        // gather of every source into cell (CSR slot) order. Owned points
         // occupy the leading slots of the source array, so query q's self
         // pair is exactly source q.
         stage.emplace("cutoff.cells", n_owned, n_ghosts);
@@ -329,12 +418,36 @@ public:
             }
             cells_.build_host(coords_.span(3 * n_src), cutoff_);
         }
+        const CellSources table = sources_.ensure(n_src, device);
+        {
+            const SpatialParticle* own = owned_.data();
+            const SpatialParticle* gho = ghosts_.data();
+            const std::uint32_t* cell_points = cells_.cell_points();
+            auto gather = [=](std::size_t m) {
+                const std::uint32_t s = cell_points[m];
+                const SpatialParticle& p = s < n_owned ? own[s] : gho[s - n_owned];
+                table.set(m, s, p.pos, p.gamma);
+            };
+            if (device) {
+                par::device::Queue& sq = overlap() ? *spatial_q_ : pm.device_queue();
+                namespace dc = par::device::devcheck;
+                dc::declare(sq, "cutoff source-table gather",
+                            {dc::read(own, n_owned * sizeof(SpatialParticle)),
+                             dc::read(gho, n_ghosts * sizeof(SpatialParticle)),
+                             dc::read(cell_points, n_src * sizeof(std::uint32_t)),
+                             dc::write(table.x, 6 * n_src * sizeof(double)),
+                             dc::write(table.id, n_src * sizeof(std::uint32_t))});
+                sq.parallel_for(n_src, gather);
+            } else {
+                for (std::size_t m = 0; m < n_src; ++m) gather(m);
+            }
+        }
 
         // ---- step 4: kernel accumulation, fused with the neighbor
-        // query: every owned point sweeps its 27-cell stencil in the
-        // fixed cell-list order and sums br_kernel over the hits. Both
-        // paths run the identical per-query loop, so host and device
-        // sums see the same operand order.
+        // query: every owned point sweeps its 9 stencil rows of the
+        // cell-ordered table and sums br_kernel over the hits
+        // (cutoff_br_sum). Both paths run the identical per-query kernel,
+        // so host and device sums see the same operand order.
         stage.emplace("cutoff.accumulate", n_owned);
         const double prefactor = mesh_->cell_area() / (4.0 * std::numbers::pi);
         if (device) {
@@ -349,37 +462,26 @@ public:
         {
             const search::CellGrid g = cells_.grid();
             const std::uint32_t* cell_offsets = cells_.cell_offsets();
-            const std::uint32_t* cell_points = cells_.cell_points();
-            const double* crd = coords_.data();
             const SpatialParticle* own = owned_.data();
-            const SpatialParticle* gho = ghosts_.data();
             VelocityResult* res = results_.data();
             std::uint32_t* pairs = pair_counts_.data();
             int* home = home_.data();
             const double eps2 = eps2_;
             auto accumulate = [=](std::size_t q) {
-                Vec3 sum{};
-                std::uint32_t cnt = 0;
-                search::visit_neighbors(
-                    g, cell_offsets, cell_points, crd, crd + 3 * q, r2, [&](std::uint32_t s) {
-                        if (s == q) return; // self pair
-                        const SpatialParticle& src = s < n_owned ? own[s] : gho[s - n_owned];
-                        sum += br_kernel(own[q].pos, src.pos, src.gamma, eps2);
-                        ++cnt;
-                    });
-                res[q] = {sum * prefactor, own[q].home_rank, own[q].home_index};
-                pairs[q] = cnt;
+                const CutoffBRSum acc = cutoff_br_sum(g, cell_offsets, table, own[q].pos,
+                                                      static_cast<std::uint32_t>(q), r2, eps2);
+                res[q] = {acc.sum * prefactor, own[q].home_rank, own[q].home_index};
+                pairs[q] = acc.pairs;
                 home[q] = own[q].home_rank;
             };
             if (device) {
                 par::device::Queue& sq = overlap() ? *spatial_q_ : pm.device_queue();
                 namespace dc = par::device::devcheck;
                 dc::declare(sq, "cutoff BR accumulate",
-                            {dc::read(crd, 3 * n_src * sizeof(double)),
-                             dc::read(own, n_owned * sizeof(SpatialParticle)),
-                             dc::read(gho, n_ghosts * sizeof(SpatialParticle)),
+                            {dc::read(own, n_owned * sizeof(SpatialParticle)),
                              dc::read(cell_offsets, (g.num_cells() + 1) * sizeof(std::uint32_t)),
-                             dc::read(cell_points, n_src * sizeof(std::uint32_t)),
+                             dc::read(table.x, 6 * n_src * sizeof(double)),
+                             dc::read(table.id, n_src * sizeof(std::uint32_t)),
                              dc::write(res, n_owned * sizeof(VelocityResult)),
                              dc::write(pairs, n_owned * sizeof(std::uint32_t)),
                              dc::write(home, n_owned * sizeof(int))});
@@ -527,6 +629,7 @@ private:
     par::device::PinnedStore<SpatialParticle> ghosts_;     ///< step-2 result
     par::device::PinnedStore<double> coords_;              ///< step-3 input
     search::CellList3D cells_;
+    CellSourceTable sources_;                              ///< step-3 output
     par::device::PinnedStore<VelocityResult> results_;     ///< step-4 output
     par::device::PinnedStore<std::uint32_t> pair_counts_;
     par::device::PinnedStore<int> home_;

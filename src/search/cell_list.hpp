@@ -1,9 +1,9 @@
 /// \file cell_list.hpp
-/// \brief Device-friendly fixed-radius cell list: count–scan–fill over a
-/// dense cell grid.
+/// \brief Fixed-radius neighbor search over 3D point sets — the ArborX
+/// stand-in of the cutoff Birkhoff–Rott solver (paper §3.2 step 3): a
+/// device-friendly cell list built by count–scan–fill over a dense grid.
 ///
-/// The device-resident replacement for BinGrid3D's hash-map binning
-/// (paper §3.2 step 3). The structure is the classic GPU cell list:
+/// The structure is the classic GPU cell list:
 ///
 ///   1. bounds   — per-chunk min/max of the points' cell coordinates,
 ///                 folded on the host (min/max are associative, so the
@@ -19,28 +19,57 @@
 ///                 what the serial fill-in-index-order build produces.
 ///
 /// Cells are cubes of edge == search radius, addressed by
-/// floor(coordinate / radius) exactly like BinGrid3D, and queries sweep
-/// the same 27-cell stencil in the same dz/dy/dx order with ascending
-/// point order inside each cell — so neighbor *enumeration order* (and
-/// therefore any floating-point accumulation over it) is bitwise
-/// identical to BinGrid3D's, host build and device build alike.
+/// floor(coordinate / radius), and linearized x-fastest:
+/// index = (iz * ny + iy) * nx + ix. The x-neighbors of one (y, z) row
+/// are therefore adjacent in the CSR, so a query's 27-cell stencil is
+/// exactly 9 contiguous slot ranges — one per (dz, dy) row, with x
+/// clamped to the grid (for_each_stencil_row). Every query in the
+/// codebase walks those rows.
+///
+/// Bitwise contract: the enumeration order is fixed — rows in dz/dy
+/// order, cells dx = -1, 0, +1 within a row, ascending point index within
+/// a cell — and the host and device builds produce byte-identical CSR
+/// arrays. Any floating-point accumulation over the hits (the cutoff
+/// solver's kernel sum) is therefore bitwise identical across builds,
+/// backends and schedules, and unchanged by how a caller lays out the
+/// per-slot source data, as long as it visits the same slots in order.
 ///
 /// All storage is grow-only (PinnedStore): a steady-state rebuild over a
 /// same-or-smaller point cloud allocates nothing, and the device build's
 /// kernels write straight into the registered staging.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <span>
+#include <type_traits>
+#include <vector>
 
 #include "base/error.hpp"
 #include "par/device/device.hpp"
 #include "par/device/scan.hpp"
-#include "search/neighbor_search.hpp"
 
 namespace beatnik::search {
+
+/// Compressed (CSR) neighbor lists: neighbors of query point q are
+/// indices[offsets[q] .. offsets[q+1]).
+struct NeighborList {
+    std::vector<std::uint32_t> offsets; ///< size = #queries + 1
+    std::vector<std::uint32_t> indices; ///< concatenated neighbor ids
+
+    [[nodiscard]] std::size_t num_queries() const {
+        return offsets.empty() ? 0 : offsets.size() - 1;
+    }
+    [[nodiscard]] std::size_t count(std::size_t q) const {
+        return offsets[q + 1] - offsets[q];
+    }
+    [[nodiscard]] std::span<const std::uint32_t> neighbors(std::size_t q) const {
+        return {indices.data() + offsets[q], count(q)};
+    }
+};
 
 /// Kernel-safe description of the dense cell grid (POD, captured by
 /// value into device kernels).
@@ -49,8 +78,8 @@ struct CellGrid {
     std::array<int, 3> lo{};       ///< minimum cell coordinate per axis
     std::array<int, 3> n{1, 1, 1}; ///< cells per axis (>= 1)
 
-    /// Cell coordinate of a position along one axis — floor, matching
-    /// BinGrid3D::cell_of so both structures bin identically.
+    /// Cell coordinate of a position along one axis (floor, so negative
+    /// coordinates bin below zero rather than truncating toward it).
     [[nodiscard]] static int coord(double v, double cell) {
         return static_cast<int>(std::floor(v / cell));
     }
@@ -74,48 +103,62 @@ struct CellGrid {
     }
 };
 
+/// Walk query position \p qp's 27-cell stencil as its (at most) 9
+/// contiguous CSR slot ranges: calls f(begin, end) once per in-grid
+/// (dz, dy) row, rows in dz/dy order, where [begin, end) covers the row's
+/// in-grid cells dx = -1, 0, +1 in order. Pure index math over the cell
+/// offsets, so it runs in host code and device kernels alike.
+template <class F>
+inline void for_each_stencil_row(const CellGrid& g, const std::uint32_t* cell_offsets,
+                                 const double* qp, F&& f) {
+    const int qx = CellGrid::coord(qp[0], g.cell);
+    const int qy = CellGrid::coord(qp[1], g.cell);
+    const int qz = CellGrid::coord(qp[2], g.cell);
+    const int xlo = std::max(qx - 1, g.lo[0]);
+    const int xhi = std::min(qx + 1, g.lo[0] + g.n[0] - 1);
+    if (xlo > xhi) return;
+    for (int cz = qz - 1; cz <= qz + 1; ++cz) {
+        if (cz < g.lo[2] || cz >= g.lo[2] + g.n[2]) continue;
+        for (int cy = qy - 1; cy <= qy + 1; ++cy) {
+            if (cy < g.lo[1] || cy >= g.lo[1] + g.n[1]) continue;
+            f(cell_offsets[g.index(xlo, cy, cz)], cell_offsets[g.index(xhi, cy, cz) + 1]);
+        }
+    }
+}
+
 /// Enumerate the sources within \p radius (strict, squared compare) of
-/// query position \p qp, in exactly BinGrid3D's order: stencil cells in
-/// dz/dy/dx order, ascending point index within each cell. Calls
-/// f(source_index) for every hit, *including* an identical-position /
-/// self source — exclusion is the caller's policy. Usable from host code
-/// and device kernels alike (pure pointer math over the CSR arrays).
+/// query position \p qp in the stencil-row order of for_each_stencil_row,
+/// ascending point index within each cell. Calls f(source_index) for
+/// every hit, *including* an identical-position / self source —
+/// exclusion is the caller's policy. Usable from host code and device
+/// kernels alike (pure pointer math over the CSR arrays).
 template <class F>
 inline void visit_neighbors(const CellGrid& g, const std::uint32_t* cell_offsets,
                             const std::uint32_t* cell_points, const double* points,
                             const double* qp, double r2, F&& f) {
-    const int qx = CellGrid::coord(qp[0], g.cell);
-    const int qy = CellGrid::coord(qp[1], g.cell);
-    const int qz = CellGrid::coord(qp[2], g.cell);
-    for (int dz = -1; dz <= 1; ++dz) {
-        for (int dy = -1; dy <= 1; ++dy) {
-            for (int dx = -1; dx <= 1; ++dx) {
-                const int cx = qx + dx, cy = qy + dy, cz = qz + dz;
-                if (!g.contains(cx, cy, cz)) continue;
-                const std::size_t c = g.index(cx, cy, cz);
-                for (std::uint32_t m = cell_offsets[c]; m < cell_offsets[c + 1]; ++m) {
-                    const std::uint32_t s = cell_points[m];
-                    const double* sp = points + 3 * static_cast<std::size_t>(s);
-                    const double ddx = qp[0] - sp[0];
-                    const double ddy = qp[1] - sp[1];
-                    const double ddz = qp[2] - sp[2];
-                    if (ddx * ddx + ddy * ddy + ddz * ddz < r2) f(s);
-                }
-            }
+    for_each_stencil_row(g, cell_offsets, qp, [&](std::uint32_t begin, std::uint32_t end) {
+        for (std::uint32_t m = begin; m < end; ++m) {
+            const std::uint32_t s = cell_points[m];
+            const double* sp = points + 3 * static_cast<std::size_t>(s);
+            const double ddx = qp[0] - sp[0];
+            const double ddy = qp[1] - sp[1];
+            const double ddz = qp[2] - sp[2];
+            if (ddx * ddx + ddy * ddy + ddz * ddz < r2) f(s);
         }
-    }
+    });
 }
 
 /// Dense cell list over a 3D point set, rebuilt per particle snapshot.
 ///
 /// Build on the host (serial, index-order fill) or on the device
 /// (count–scan–fill kernels); the resulting CSR arrays are bitwise
-/// identical either way. Query via the host query() (a NeighborList,
-/// BinGrid3D-compatible) or by fusing visit_neighbors() into a kernel
+/// identical either way. Query via the host query() (a NeighborList) or
+/// by fusing visit_neighbors() / for_each_stencil_row() into a kernel
 /// over the exported raw arrays.
 class CellList3D {
 public:
-    /// No self-exclusion sentinel for query() — see BinGrid3D::kNoSelf.
+    /// Pass as query()'s \p self_offset when the query set is unrelated
+    /// to the source set (no self-pair to exclude).
     static constexpr std::size_t kNoSelf = static_cast<std::size_t>(-1);
 
     /// Guard against pathological sparse clouds: a dense grid over a
@@ -289,11 +332,12 @@ public:
         q.fence(); // devcheck: fenced — callers consume the CSR on the host
     }
 
-    /// Neighbor lists for every query point, BinGrid3D-compatible (host
-    /// compute; the device path fuses visit_neighbors into its kernels
-    /// instead of materializing a list). \p self_offset maps query q to
-    /// source q + self_offset for self-pair exclusion; kNoSelf disables
-    /// exclusion. \p points must be the build's point array.
+    /// Neighbor lists for every query point (host compute; kernels fuse
+    /// visit_neighbors instead of materializing a list). \p self_offset
+    /// makes the self-interaction exclusion explicit: query q corresponds
+    /// to source q + self_offset, and that one source is skipped; kNoSelf
+    /// disables exclusion. A mapping past the last source is rejected.
+    /// \p points must be the build's point array.
     [[nodiscard]] NeighborList query(std::span<const double> points,
                                      std::span<const double> queries,
                                      std::size_t self_offset) const {
@@ -326,6 +370,13 @@ public:
         }
         return list;
     }
+
+    /// A boolean "self query" flag is a compile error: `true` would
+    /// silently convert to self_offset == 1 and exclude the *wrong*
+    /// source. (A deduced template so integer literals still bind to the
+    /// std::size_t overload above.)
+    template <class B, std::enable_if_t<std::is_same_v<B, bool>, int> = 0>
+    NeighborList query(std::span<const double>, std::span<const double>, B) const = delete;
 
 private:
     struct Bounds {
@@ -393,5 +444,40 @@ private:
     par::device::PinnedStore<Bounds> bounds_;                ///< bounds partials
     par::device::ScanScratch scan_;
 };
+
+/// O(N*M) reference used by tests and accuracy studies. \p self_offset
+/// follows the CellList3D::query contract (CellList3D::kNoSelf disables
+/// self-pair exclusion).
+[[nodiscard]] inline NeighborList brute_force_neighbors(std::span<const double> points,
+                                                        std::span<const double> queries,
+                                                        double radius,
+                                                        std::size_t self_offset) {
+    constexpr std::size_t kNoSelf = CellList3D::kNoSelf;
+    const std::size_t n = points.size() / 3;
+    const std::size_t nq = queries.size() / 3;
+    BEATNIK_REQUIRE(self_offset == kNoSelf || self_offset + nq <= n,
+                    "self_offset must map every query onto a source index");
+    const double r2 = radius * radius;
+    NeighborList list;
+    list.offsets.resize(nq + 1, 0);
+    for (std::size_t q = 0; q < nq; ++q) {
+        const std::size_t self = self_offset == kNoSelf ? kNoSelf : q + self_offset;
+        for (std::size_t s = 0; s < n; ++s) {
+            if (s == self) continue;
+            double d2 = 0.0;
+            for (int d = 0; d < 3; ++d) {
+                double diff = queries[3 * q + static_cast<std::size_t>(d)] -
+                              points[3 * s + static_cast<std::size_t>(d)];
+                d2 += diff * diff;
+            }
+            if (d2 < r2) {
+                list.indices.push_back(static_cast<std::uint32_t>(s));
+                ++list.offsets[q + 1];
+            }
+        }
+    }
+    for (std::size_t q = 0; q < nq; ++q) list.offsets[q + 1] += list.offsets[q];
+    return list;
+}
 
 } // namespace beatnik::search

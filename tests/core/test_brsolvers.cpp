@@ -1,14 +1,18 @@
 // Birkhoff–Rott solver tests: exact vs cutoff agreement, cutoff accuracy
-// monotonicity, multi-rank consistency, and spatial bookkeeping.
+// monotonicity, multi-rank consistency, spatial bookkeeping, and a
+// bitwise oracle for the cutoff accumulate kernel.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <numbers>
 #include <vector>
 
+#include "base/rng.hpp"
 #include "core/beatnik.hpp"
-#include "search/neighbor_search.hpp"
+#include "search/cell_list.hpp"
+#include "test_env.hpp"
 
 namespace b = beatnik;
 namespace bc = beatnik::comm;
@@ -267,6 +271,194 @@ TEST(BRSolvers, FirstEvaluationWritesVelocity) {
         // Sanity: the deck actually produces nontrivial velocities.
         EXPECT_GT(nonzero, n / 2);
     });
+}
+
+// ---- Bitwise oracle for the cutoff accumulate kernel. The reference is
+// the straightforward loop: per query, visit_neighbors over the cell
+// list's point indices and br_kernel on the (owned ++ ghost) particle
+// array. cutoff_br_sum over the cell-ordered source table must reproduce
+// every sum and pair count bit for bit (memcmp, so NaNs from coincident
+// points at eps2 = 0 compare too).
+
+struct OracleParticle {
+    b::Vec3 pos;
+    b::Vec3 gamma;
+};
+
+/// What one oracle comparison exercised, so each case can assert it is
+/// not vacuous.
+struct OracleStats {
+    beatnik::search::CellGrid grid;
+    std::uint64_t pairs = 0;
+    std::size_t nonfinite = 0; ///< queries whose sum is not finite
+};
+
+OracleStats expect_kernel_matches_oracle(const std::vector<OracleParticle>& src,
+                                         std::size_t n_owned, double radius, double eps2) {
+    OracleStats stats;
+    EXPECT_LE(n_owned, src.size());
+    if (n_owned > src.size()) return stats;
+    const std::size_t n_src = src.size();
+    std::vector<double> crd(3 * n_src);
+    for (std::size_t s = 0; s < n_src; ++s) {
+        crd[3 * s + 0] = src[s].pos.x;
+        crd[3 * s + 1] = src[s].pos.y;
+        crd[3 * s + 2] = src[s].pos.z;
+    }
+    beatnik::search::CellList3D cells;
+    cells.build_host(crd, radius);
+    b::CellSourceTable store;
+    const b::CellSources table = store.ensure(n_src, /*pin=*/false);
+    for (std::size_t m = 0; m < n_src; ++m) {
+        const std::uint32_t s = cells.cell_points()[m];
+        table.set(m, s, src[s].pos, src[s].gamma);
+    }
+    const double r2 = radius * radius;
+    std::vector<b::Vec3> ref(n_owned), got(n_owned);
+    std::vector<std::uint32_t> ref_pairs(n_owned), got_pairs(n_owned);
+    for (std::size_t q = 0; q < n_owned; ++q) {
+        b::Vec3 sum{};
+        std::uint32_t cnt = 0;
+        beatnik::search::visit_neighbors(
+            cells.grid(), cells.cell_offsets(), cells.cell_points(), crd.data(),
+            crd.data() + 3 * q, r2, [&](std::uint32_t s) {
+                if (s == q) return;
+                sum += b::br_kernel(src[q].pos, src[s].pos, src[s].gamma, eps2);
+                ++cnt;
+            });
+        ref[q] = sum;
+        ref_pairs[q] = cnt;
+        const b::CutoffBRSum acc = b::cutoff_br_sum(cells.grid(), cells.cell_offsets(), table,
+                                                    src[q].pos, static_cast<std::uint32_t>(q),
+                                                    r2, eps2);
+        got[q] = acc.sum;
+        got_pairs[q] = acc.pairs;
+        stats.pairs += acc.pairs;
+        if (!std::isfinite(acc.sum.x) || !std::isfinite(acc.sum.y) || !std::isfinite(acc.sum.z)) {
+            ++stats.nonfinite;
+        }
+    }
+    stats.grid = cells.grid();
+    EXPECT_EQ(got_pairs, ref_pairs);
+    if (n_owned == 0) return stats;
+    if (std::memcmp(got.data(), ref.data(), n_owned * sizeof(b::Vec3)) != 0) {
+        for (std::size_t q = 0; q < n_owned; ++q) {
+            if (std::memcmp(&got[q], &ref[q], sizeof(b::Vec3)) != 0) {
+                ADD_FAILURE() << "first bitwise mismatch at query " << q << ": got (" << got[q].x
+                              << ", " << got[q].y << ", " << got[q].z << "), reference ("
+                              << ref[q].x << ", " << ref[q].y << ", " << ref[q].z << ")";
+                break;
+            }
+        }
+    }
+    return stats;
+}
+
+std::vector<OracleParticle> oracle_cloud(std::size_t n, std::uint64_t seed, double extent) {
+    beatnik::SplitMix64 rng(beatnik::test::seed() + seed);
+    std::vector<OracleParticle> pts(n);
+    for (auto& p : pts) {
+        p.pos = {rng.uniform(-extent, extent), rng.uniform(-extent, extent),
+                 rng.uniform(-extent, extent)};
+        p.gamma = {rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-1, 1)};
+    }
+    return pts;
+}
+
+/// A singlemode-like sheet on [-1,1]^2, nodes in row order.
+std::vector<OracleParticle> oracle_sheet(int n) {
+    std::vector<OracleParticle> pts;
+    for (int i = 0; i < n; ++i) {
+        for (int j = 0; j < n; ++j) {
+            const double x = -1.0 + 2.0 * i / (n - 1), y = -1.0 + 2.0 * j / (n - 1);
+            pts.push_back({{x, y, 0.2 * std::cos(std::numbers::pi * x) * std::cos(std::numbers::pi * y)},
+                           {std::sin(2.0 * x), std::cos(y), 0.1 * x * y}});
+        }
+    }
+    return pts;
+}
+
+TEST(CutoffKernelOracle, RandomCloudWithGhosts) {
+    auto pts = oracle_cloud(600, 301, 1.5);
+    EXPECT_GT(expect_kernel_matches_oracle(pts, 450, 0.5, 1e-4).pairs, 450u); // 150 ghosts
+    EXPECT_GT(expect_kernel_matches_oracle(pts, pts.size(), 0.5, 1e-4).pairs, pts.size());
+}
+
+TEST(CutoffKernelOracle, SheetWithGhosts) {
+    // Owned = the x < 0, y < 0 quadrant, ghosts = the rest within the
+    // cutoff of it, owned first — the shape of one rank's sources.
+    const double cutoff = 0.5;
+    std::vector<OracleParticle> owned, ghosts;
+    for (const auto& p : oracle_sheet(40)) {
+        if (p.pos.x < 0.0 && p.pos.y < 0.0) {
+            owned.push_back(p);
+        } else if (p.pos.x < cutoff && p.pos.y < cutoff) {
+            ghosts.push_back(p);
+        }
+    }
+    ASSERT_FALSE(ghosts.empty());
+    std::vector<OracleParticle> src = owned;
+    src.insert(src.end(), ghosts.begin(), ghosts.end());
+    EXPECT_GT(expect_kernel_matches_oracle(src, owned.size(), cutoff, 1e-3).pairs,
+              10 * owned.size());
+}
+
+TEST(CutoffKernelOracle, ZeroAndOneOwnedQueries) {
+    auto pts = oracle_cloud(80, 302, 1.0);
+    expect_kernel_matches_oracle(pts, 0, 0.6, 1e-4);
+    EXPECT_GT(expect_kernel_matches_oracle(pts, 1, 0.6, 1e-4).pairs, 0u);
+    EXPECT_EQ(expect_kernel_matches_oracle({pts[0]}, 1, 0.6, 1e-4).pairs, 0u);
+}
+
+TEST(CutoffKernelOracle, CoincidentPoints) {
+    // Every point twice: each query meets its twin at r = 0, which must
+    // not be mistaken for the self pair. With eps2 = 0 the twin's term is
+    // 0 * inf = NaN, and the NaN must match too.
+    auto pts = oracle_cloud(100, 303, 1.0);
+    std::vector<OracleParticle> twins = pts;
+    for (auto p : pts) {
+        p.gamma = {-p.gamma.y, p.gamma.x, 0.5 * p.gamma.z};
+        twins.push_back(p);
+    }
+    EXPECT_EQ(expect_kernel_matches_oracle(twins, twins.size(), 0.5, 1e-4).nonfinite, 0u);
+    EXPECT_EQ(expect_kernel_matches_oracle(twins, twins.size(), 0.5, 0.0).nonfinite,
+              twins.size());
+}
+
+TEST(CutoffKernelOracle, PointsOnCellFaces) {
+    // Coordinates on exact multiples of the radius sit on cell faces, and
+    // lattice neighbours sit exactly at the (excluded) cutoff distance.
+    const double radius = 0.25;
+    std::vector<OracleParticle> pts;
+    for (int i = -3; i <= 3; ++i) {
+        for (int j = -3; j <= 3; ++j) {
+            for (int k = -1; k <= 1; ++k) {
+                pts.push_back({{i * radius, j * radius, k * radius},
+                               {0.3 * i, -0.2 * j, 0.1 * (k + i)}});
+            }
+        }
+    }
+    // Plus random off-lattice points; the second pass widens the radius a
+    // hair so the lattice neighbours at exactly 0.25 become hits.
+    auto extra = oracle_cloud(60, 304, 0.75);
+    pts.insert(pts.end(), extra.begin(), extra.end());
+    const auto exact = expect_kernel_matches_oracle(pts, pts.size() - 30, radius, 1e-4);
+    const auto wider = expect_kernel_matches_oracle(pts, pts.size(), radius * 1.0000001, 0.0);
+    EXPECT_GT(wider.pairs, exact.pairs + 2 * 7 * 7 * 3);
+}
+
+TEST(CutoffKernelOracle, GridsOneCellThickInEachAxis) {
+    for (int axis = 0; axis < 3; ++axis) {
+        auto pts = oracle_cloud(300, 305 + static_cast<std::uint64_t>(axis), 1.2);
+        for (auto& p : pts) {
+            double* c[3] = {&p.pos.x, &p.pos.y, &p.pos.z};
+            *c[axis] = 0.1 + 0.05 * (*c[axis] / 1.2); // within one 0.5 cell
+        }
+        SCOPED_TRACE(axis);
+        const auto stats = expect_kernel_matches_oracle(pts, 200, 0.5, 1e-4);
+        EXPECT_EQ(stats.grid.n[static_cast<std::size_t>(axis)], 1);
+        EXPECT_GT(stats.pairs, 200u);
+    }
 }
 
 TEST(CutoffBookkeeping, SpatialCensusSumsToAllPoints) {
