@@ -5,7 +5,7 @@
 /// each data point is produced by building the *real* communication
 /// schedule the library would execute at that rank count (FFT reshape
 /// plans, migration/ghost exchanges) and replaying it through the netsim
-/// machine model (DESIGN.md §1, substitution table). Points are labeled
+/// machine model (README "Benchmarks"). Points are labeled
 /// `modeled`; small-rank real executions on the host machine are labeled
 /// `measured` where a bench includes them. Only curve *shapes* are
 /// claimed, never absolute seconds.

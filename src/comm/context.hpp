@@ -1,7 +1,7 @@
 /// \file context.hpp
 /// \brief The rank runtime: runs N logical ranks as threads of one process.
 ///
-/// This is the repo's stand-in for an MPI runtime (see DESIGN.md §1). A
+/// This is the repo's stand-in for an MPI runtime (see README "The communication API"). A
 /// Context owns one Mailbox per rank plus shared bookkeeping (communicator
 /// id allocation, abort flag, optional message trace). Context::run() is
 /// the `mpirun` equivalent: it spawns one thread per rank, hands each a

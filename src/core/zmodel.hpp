@@ -1,7 +1,7 @@
 /// \file zmodel.hpp
 /// \brief Z-Model derivative computation (paper §2/§3.1, ZModel module).
 ///
-/// Evolution equations as implemented (derivation in DESIGN.md §1):
+/// Evolution equations as implemented (paper §2; README introduction):
 ///   dz/dt  = W                       (interface moves with the fluid)
 ///   dw_i/dt = d/dalpha_i( -2*A*g*z3 - A*|Wb|^2 ) + mu * lap(w_i)
 /// where W is the Birkhoff–Rott velocity of the sheet and Wb is the

@@ -3,7 +3,7 @@
 /// global array over ranks.
 ///
 /// The distributed FFT is a sequence of repartitions between these box
-/// lists (DESIGN.md §1). Two families are provided:
+/// lists (README "The communication API"). Two families are provided:
 ///  * generic pencil partitions — 1D block partitions of the full index
 ///    space over all P ranks (heFFTe's pencil machinery);
 ///  * nested band partitions — sub-partitions aligned with the brick

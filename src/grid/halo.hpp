@@ -13,10 +13,7 @@
 /// it pre-registers every neighbor channel, and each exchange() /
 /// scatter_add() iteration packs straight into the transport buffers and
 /// unpacks messages in arrival order — zero per-iteration allocation and
-/// no mailbox matching. The halo_exchange()/halo_scatter_add() free
-/// functions remain as deprecated thin wrappers that build a throwaway
-/// plan per call (the channels themselves persist in the context, so even
-/// the wrappers reuse buffers across calls).
+/// no mailbox matching.
 #pragma once
 
 #include <array>
@@ -310,27 +307,5 @@ private:
     std::vector<const void*> send_keys_;
     std::vector<const void*> recv_keys_;
 };
-
-/// Deprecated: exchange ghost layers of \p field with all existing
-/// neighbors. Thin wrapper that builds a HaloPlan per call — prefer
-/// building a HaloPlan once per field shape and calling exchange() on it
-/// (the plan path is allocation-free per iteration; this wrapper is not).
-template <class T, int C>
-void halo_exchange(comm::Communicator& comm, const CartTopology2D& topo, const LocalGrid2D& grid,
-                   NodeField<T, C>& field, int stream = 0) {
-    BEATNIK_REQUIRE(field.halo_width() == grid.halo_width(), "field/grid halo width mismatch");
-    if (grid.halo_width() == 0) return;
-    HaloPlan<T, C>(comm, topo, grid, stream).exchange(field);
-}
-
-/// Deprecated: reverse halo exchange ("scatter-add"). Thin wrapper over
-/// HaloPlan::scatter_add — prefer a persistent HaloPlan.
-template <class T, int C>
-void halo_scatter_add(comm::Communicator& comm, const CartTopology2D& topo,
-                      const LocalGrid2D& grid, NodeField<T, C>& field, int stream = 0) {
-    BEATNIK_REQUIRE(field.halo_width() == grid.halo_width(), "field/grid halo width mismatch");
-    if (grid.halo_width() == 0) return;
-    HaloPlan<T, C>(comm, topo, grid, stream).scatter_add(field);
-}
 
 } // namespace beatnik::grid

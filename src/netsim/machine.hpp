@@ -4,10 +4,10 @@
 /// The evaluation platform of the paper (LLNL Lassen: IBM Power9 nodes,
 /// 4 V100 GPUs per node, EDR InfiniBand, Spectrum MPI with GPU-aware
 /// transfers) is not available here, so scaling experiments replay *real*
-/// message schedules through this model (DESIGN.md §1, substitution
-/// table). Parameters are order-of-magnitude hardware values, documented
-/// inline; EXPERIMENTS.md discusses sensitivity. We claim curve *shapes*,
-/// never absolute seconds.
+/// message schedules through this model (README "Benchmarks").
+/// Parameters are order-of-magnitude hardware values, documented inline;
+/// EXPERIMENTS.md discusses sensitivity. We claim curve *shapes*, never
+/// absolute seconds.
 #pragma once
 
 #include <cstddef>

@@ -16,6 +16,7 @@
 #include <mutex>
 #include <new>
 #include <numeric>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -83,7 +84,27 @@ std::byte fill_byte(int rank, int slot, int iter, std::size_t i) {
 
 // ---------------------------------------------------------------- registry
 
+/// Unsets $BEATNIK_TRANSPORT for one test and restores it afterwards, so
+/// the default-selection assertions hold when the whole suite runs with a
+/// transport chosen through the environment.
+class TransportEnvGuard {
+public:
+    TransportEnvGuard() {
+        if (const char* v = std::getenv("BEATNIK_TRANSPORT")) saved_ = v;
+        ::unsetenv("BEATNIK_TRANSPORT");
+    }
+    ~TransportEnvGuard() {
+        if (saved_) ::setenv("BEATNIK_TRANSPORT", saved_->c_str(), 1);
+    }
+    TransportEnvGuard(const TransportEnvGuard&) = delete;
+    TransportEnvGuard& operator=(const TransportEnvGuard&) = delete;
+
+private:
+    std::optional<std::string> saved_;
+};
+
 TEST(TransportRegistry, DefaultsToInprocAndHonorsConfig) {
+    TransportEnvGuard env;
     bc::TransportRegistry reg;
     EXPECT_EQ(reg.config().default_transport, "inproc");
     EXPECT_STREQ(reg.select(0, 1)->name(), "inproc");
@@ -97,6 +118,7 @@ TEST(TransportRegistry, DefaultsToInprocAndHonorsConfig) {
 }
 
 TEST(TransportRegistry, PerPairRulesOverrideTheDefault) {
+    TransportEnvGuard env;
     bc::TransportRegistry reg;
     reg.set_pair_symmetric(0, 1, "loopback");
     reg.set_pair(2, 3, "shm");

@@ -2,7 +2,7 @@
 // Rayleigh–Taylor dispersion relation sigma = sqrt(A*g*k) in the linear
 // regime, conserve the mean interface height, and converge at the
 // integrator's order. These are the checks that pin the self-derived
-// equations (DESIGN.md §1) to known theory.
+// equations (src/core/zmodel.hpp) to known theory.
 #include <gtest/gtest.h>
 
 #include <cmath>

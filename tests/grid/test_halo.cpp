@@ -65,7 +65,7 @@ TEST_P(HaloP, GhostsMatchOwners) {
         f.fill(-999.0);
         fill_owned(f, lg);
 
-        bg::halo_exchange(comm, topo, lg, f);
+        bg::HaloPlan<double, 3>(comm, topo, lg).exchange(f);
 
         // Every ghost node that has an owner must hold that owner's value.
         auto ghosted = lg.ghosted_space();
@@ -116,7 +116,7 @@ TEST(Halo, RepeatedExchangesStayConsistent) {
             for (int i = 0; i < lg.owned_extent(0); ++i) {
                 for (int j = 0; j < lg.owned_extent(1); ++j) f(i, j, 0) += 1.0;
             }
-            bg::halo_exchange(comm, topo, lg, f);
+            bg::HaloPlan<double, 1>(comm, topo, lg, /*stream=*/0).exchange(f);
             int gi = lg.global_offset(0) - 1;
             gi = ((gi % 16) + 16) % 16;
             int gj = lg.global_offset(1);
@@ -135,8 +135,8 @@ TEST(Halo, TwoFieldsDistinctStreamsDoNotMix) {
         for (int i = 0; i < lg.owned_extent(0); ++i) {
             for (int j = 0; j < lg.owned_extent(1); ++j) b(i, j, 0) = -a(i, j, 0);
         }
-        bg::halo_exchange(comm, topo, lg, a, /*stream=*/0);
-        bg::halo_exchange(comm, topo, lg, b, /*stream=*/1);
+        bg::HaloPlan<double, 1>(comm, topo, lg, /*stream=*/0).exchange(a);
+        bg::HaloPlan<double, 1>(comm, topo, lg, /*stream=*/1).exchange(b);
         // Ghosts of b are the negation of ghosts of a.
         EXPECT_DOUBLE_EQ(a(-1, 0, 0), -b(-1, 0, 0));
         EXPECT_DOUBLE_EQ(a(0, -1, 0), -b(0, -1, 0));
@@ -221,7 +221,7 @@ TEST_P(HaloPlanDegenerateP, PlanReuseMatchesReferenceEveryIteration) {
     });
 }
 
-TEST(HaloPlan, ScatterAddMatchesFreeFunction) {
+TEST(HaloPlan, ScatterAddConservesGhostMass) {
     run(4, [](bc::Communicator& comm) {
         bg::GlobalMesh2D mesh({0.0, 0.0}, {1.0, 1.0}, {8, 8}, {true, true});
         bg::CartTopology2D topo(4, {2, 2}, {true, true});
@@ -281,7 +281,7 @@ TEST(Halo, ScatterAddAccumulatesIntoOwners) {
         bg::for_each(ghosted, [&](int i, int j) {
             if (!own.contains(i, j)) f(i, j, 0) = 1.0;
         });
-        bg::halo_scatter_add(comm, topo, lg, f);
+        bg::HaloPlan<double, 1>(comm, topo, lg, /*stream=*/0).scatter_add(f);
         // Total mass received must equal total ghost mass sent (8 dirs:
         // 2 edges of 4 nodes * 2 + 4 corners on each axis pair).
         double local_sum = 0.0;

@@ -1,10 +1,9 @@
-// Regression tests for the deprecated free-function halo wrappers
-// (grid::halo_exchange / halo_scatter_add), which build a throwaway
-// HaloPlan per call: long-running legacy callers must not be able to
-// exhaust the plan-tag band (< 2^25, comm/types.hpp) or grow the
-// context's channel registry without bound.
+// Regression tests for per-call fixed-stream HaloPlans (a plan built,
+// used once and destroyed on every call): long-running callers must not
+// be able to exhaust the plan-tag band (< 2^25, comm/types.hpp) or grow
+// the context's channel registry without bound.
 //
-// The wrappers use the *fixed-stream* halo tag sub-band, so rebuilt plans
+// Fixed-stream plans use the halo tag sub-band, so rebuilt plans
 // reattach to the same persistent channels call after call: the registry
 // reaches its footprint on the first call and stays there, and the
 // communicator's sequence-tag counter never advances. Auto-stream plans
@@ -69,25 +68,25 @@ TEST(HaloWrappers, ManyRebuildsNeitherGrowRegistryNorConsumePlanTags) {
         // First call creates the fixed-stream channels; record the
         // footprint and the (untouched) sequence-tag counter after it.
         fill_owned(f, *m.grid, comm.rank(), 0);
-        bg::halo_exchange(comm, *m.topo, *m.grid, f);
+        bg::HaloPlan<double, 3>(comm, *m.topo, *m.grid, /*stream=*/0).exchange(f);
         comm.barrier();
         const std::size_t channels_after_first = comm.context().plan_channels().size();
         const int tags_after_first = comm.plan_tags_used();
 
         for (int it = 1; it <= kIters; ++it) {
             fill_owned(f, *m.grid, comm.rank(), it);
-            bg::halo_exchange(comm, *m.topo, *m.grid, f);
+            bg::HaloPlan<double, 3>(comm, *m.topo, *m.grid, /*stream=*/0).exchange(f);
         }
         comm.barrier();
         EXPECT_EQ(comm.context().plan_channels().size(), channels_after_first)
-            << "wrapper rebuilds grew the channel registry (rank " << comm.rank() << ")";
+            << "per-call plan rebuilds grew the channel registry (rank " << comm.rank() << ")";
         EXPECT_EQ(comm.plan_tags_used(), tags_after_first)
-            << "wrapper rebuilds consumed sequence plan tags (rank " << comm.rank() << ")";
+            << "per-call plan rebuilds consumed sequence plan tags (rank " << comm.rank() << ")";
 
         // Exchanges stay correct on the reattached channels: an
         // independent persistent plan produces identical bytes.
         fill_owned(f, *m.grid, comm.rank(), kIters + 1);
-        bg::halo_exchange(comm, *m.topo, *m.grid, f);
+        bg::HaloPlan<double, 3>(comm, *m.topo, *m.grid, /*stream=*/0).exchange(f);
         fill_owned(ref, *m.grid, comm.rank(), kIters + 1);
         bg::HaloPlan<double, 3>(comm, *m.topo, *m.grid).exchange(ref);
         EXPECT_EQ(f.storage(), ref.storage()) << "rank " << comm.rank();
@@ -99,12 +98,12 @@ TEST(HaloWrappers, ScatterAddWrapperReusesTheSameChannels) {
         auto m = make_mesh(comm, 16, 2, true);
         bg::NodeField<double, 2> f(*m.grid);
         fill_owned(f, *m.grid, comm.rank(), 7);
-        bg::halo_scatter_add(comm, *m.topo, *m.grid, f);
+        bg::HaloPlan<double, 2>(comm, *m.topo, *m.grid, /*stream=*/0).scatter_add(f);
         comm.barrier();
         const std::size_t channels = comm.context().plan_channels().size();
         const int tags = comm.plan_tags_used();
         for (int it = 0; it < 200; ++it) {
-            bg::halo_scatter_add(comm, *m.topo, *m.grid, f);
+            bg::HaloPlan<double, 2>(comm, *m.topo, *m.grid, /*stream=*/0).scatter_add(f);
         }
         comm.barrier();
         EXPECT_EQ(comm.context().plan_channels().size(), channels);
