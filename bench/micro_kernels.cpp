@@ -242,9 +242,9 @@ Result bench_migrate(int p, int percent_moving, int iters) {
                                                static_cast<std::uint64_t>(comm.size()))
                             : comm.rank();
         }
+        bg::MigratePlan<P> plan(comm);
         double local = time_ns(iters, [&] {
-            auto r = bg::migrate(comm, std::span<const P>(particles),
-                                 std::span<const int>(dest));
+            auto r = plan.execute(std::span<const P>(particles), std::span<const int>(dest));
             volatile std::size_t sink = r.size();
             (void)sink;
         });

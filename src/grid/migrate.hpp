@@ -13,8 +13,7 @@
 /// from the arriving message sizes — no count pre-exchange, no staging
 /// copy, and steady-state zero allocation on the communication path
 /// (channel buffers grow once to the high-water mark; only the returned
-/// result vector is allocated per call). The migrate()/distribute() free
-/// functions remain as the legacy alltoallv-collective path.
+/// result vector is allocated per call).
 #pragma once
 
 #include <span>
@@ -289,78 +288,5 @@ private:
     std::vector<const void*> chan_keys_;
     std::vector<par::device::devcheck::Region> dc_regions_;
 };
-
-/// Legacy path: exchange particles via the alltoallv collective.
-///
-/// \param comm         communicator to exchange on
-/// \param particles    local particles (any trivially copyable record)
-/// \param destinations destination rank per particle (same length)
-/// \return particles received by this rank, grouped by source rank in
-///         ascending order (self-owned particles included).
-///
-/// Prefer a persistent MigratePlan for recurring migrations — it skips
-/// the count pre-exchange and the pack/unpack staging copies.
-template <class P>
-[[nodiscard]] std::vector<P> migrate(comm::Communicator& comm, std::span<const P> particles,
-                                     std::span<const int> destinations) {
-    BEATNIK_REQUIRE(particles.size() == destinations.size(),
-                    "migrate: one destination per particle required");
-    const int p = comm.size();
-
-    // Bucket by destination. Two passes keep the packed buffer contiguous
-    // (counts first, then placement) without per-bucket vectors.
-    std::vector<std::size_t> sendcounts(static_cast<std::size_t>(p), 0);
-    for (int dst : destinations) {
-        BEATNIK_REQUIRE(dst >= 0 && dst < p, "migrate: destination rank out of range");
-        ++sendcounts[static_cast<std::size_t>(dst)];
-    }
-    std::vector<std::size_t> offsets(static_cast<std::size_t>(p) + 1, 0);
-    for (int r = 0; r < p; ++r) {
-        offsets[static_cast<std::size_t>(r) + 1] =
-            offsets[static_cast<std::size_t>(r)] + sendcounts[static_cast<std::size_t>(r)];
-    }
-    std::vector<P> packed(particles.size());
-    std::vector<std::size_t> cursor(offsets.begin(), offsets.end() - 1);
-    for (std::size_t k = 0; k < particles.size(); ++k) {
-        packed[cursor[static_cast<std::size_t>(destinations[k])]++] = particles[k];
-    }
-
-    std::vector<std::size_t> recvcounts;
-    return comm.alltoallv(std::span<const P>(packed), std::span<const std::size_t>(sendcounts),
-                          recvcounts);
-}
-
-/// Like migrate(), but a particle may be sent to *several* ranks (ghost
-/// distribution). \p destinations_per_particle holds, for particle k, the
-/// half-open range [dest_offsets[k], dest_offsets[k+1]) of entries in
-/// \p dest_ranks.
-template <class P>
-[[nodiscard]] std::vector<P> distribute(comm::Communicator& comm, std::span<const P> particles,
-                                        std::span<const std::size_t> dest_offsets,
-                                        std::span<const int> dest_ranks) {
-    BEATNIK_REQUIRE(dest_offsets.size() == particles.size() + 1,
-                    "distribute: offsets must have size N+1");
-    const int p = comm.size();
-    std::vector<std::size_t> sendcounts(static_cast<std::size_t>(p), 0);
-    for (int dst : dest_ranks) {
-        BEATNIK_REQUIRE(dst >= 0 && dst < p, "distribute: destination rank out of range");
-        ++sendcounts[static_cast<std::size_t>(dst)];
-    }
-    std::vector<std::size_t> offsets(static_cast<std::size_t>(p) + 1, 0);
-    for (int r = 0; r < p; ++r) {
-        offsets[static_cast<std::size_t>(r) + 1] =
-            offsets[static_cast<std::size_t>(r)] + sendcounts[static_cast<std::size_t>(r)];
-    }
-    std::vector<P> packed(dest_ranks.size());
-    std::vector<std::size_t> cursor(offsets.begin(), offsets.end() - 1);
-    for (std::size_t k = 0; k < particles.size(); ++k) {
-        for (std::size_t m = dest_offsets[k]; m < dest_offsets[k + 1]; ++m) {
-            packed[cursor[static_cast<std::size_t>(dest_ranks[m])]++] = particles[k];
-        }
-    }
-    std::vector<std::size_t> recvcounts;
-    return comm.alltoallv(std::span<const P>(packed), std::span<const std::size_t>(sendcounts),
-                          recvcounts);
-}
 
 } // namespace beatnik::grid

@@ -26,6 +26,54 @@ void run(int nranks, const std::function<void(bc::Communicator&)>& fn) {
     bc::Context::run(nranks, fn, cfg);
 }
 
+/// Reference migration over the alltoallv collective: bucket by
+/// destination, exchange, results grouped by source rank ascending.
+/// Deliberately independent of MigratePlan.
+std::vector<Particle> reference_migrate(bc::Communicator& comm,
+                                        const std::vector<Particle>& particles,
+                                        const std::vector<int>& destinations) {
+    const int p = comm.size();
+    std::vector<std::size_t> sendcounts(static_cast<std::size_t>(p), 0);
+    for (int dst : destinations) ++sendcounts[static_cast<std::size_t>(dst)];
+    std::vector<std::size_t> cursor(static_cast<std::size_t>(p), 0);
+    for (int r = 1; r < p; ++r) {
+        cursor[static_cast<std::size_t>(r)] =
+            cursor[static_cast<std::size_t>(r) - 1] + sendcounts[static_cast<std::size_t>(r) - 1];
+    }
+    std::vector<Particle> packed(particles.size());
+    for (std::size_t k = 0; k < particles.size(); ++k) {
+        packed[cursor[static_cast<std::size_t>(destinations[k])]++] = particles[k];
+    }
+    std::vector<std::size_t> recvcounts;
+    return comm.alltoallv(std::span<const Particle>(packed),
+                          std::span<const std::size_t>(sendcounts), recvcounts);
+}
+
+/// One MigratePlan execution: the plan is built collectively per call.
+std::vector<Particle> migrate_once(bc::Communicator& comm, const std::vector<Particle>& particles,
+                                   const std::vector<int>& destinations) {
+    bg::MigratePlan<Particle> plan(comm);
+    return plan.execute(std::span<const Particle>(particles), std::span<const int>(destinations));
+}
+
+/// Ghost distribution on a MigratePlan: particle k goes to every rank in
+/// dest_ranks[dest_offsets[k] .. dest_offsets[k+1]) — expanded into one
+/// (particle, destination) pair per target, in particle order.
+std::vector<Particle> distribute_once(bc::Communicator& comm,
+                                      const std::vector<Particle>& particles,
+                                      const std::vector<std::size_t>& dest_offsets,
+                                      const std::vector<int>& dest_ranks) {
+    std::vector<Particle> copies;
+    std::vector<int> dest;
+    for (std::size_t k = 0; k < particles.size(); ++k) {
+        for (std::size_t m = dest_offsets[k]; m < dest_offsets[k + 1]; ++m) {
+            copies.push_back(particles[k]);
+            dest.push_back(dest_ranks[m]);
+        }
+    }
+    return migrate_once(comm, copies, dest);
+}
+
 class MigrateP : public ::testing::TestWithParam<int> {};
 INSTANTIATE_TEST_SUITE_P(RankCounts, MigrateP, ::testing::Values(1, 2, 3, 5, 8, 16),
                          ::testing::PrintToStringParamName());
@@ -42,8 +90,7 @@ TEST_P(MigrateP, PreservesParticleMultiset) {
             mine.push_back({gid * 1.5, 0.0, 0.0, gid, comm.rank()});
             dest.push_back(static_cast<int>(beatnik::hash_mix(3, gid) % static_cast<std::uint64_t>(p)));
         }
-        auto received = bg::migrate(comm, std::span<const Particle>(mine),
-                                    std::span<const int>(dest));
+        auto received = migrate_once(comm, mine, dest);
 
         // Every received particle was really destined here.
         for (const auto& part : received) {
@@ -73,8 +120,7 @@ TEST_P(MigrateP, GroupsArrivalsBySourceRank) {
             mine.push_back({0.0, 0.0, 0.0, static_cast<std::uint64_t>(comm.rank()), comm.rank()});
             dest.push_back(r);
         }
-        auto received = bg::migrate(comm, std::span<const Particle>(mine),
-                                    std::span<const int>(dest));
+        auto received = migrate_once(comm, mine, dest);
         ASSERT_EQ(received.size(), static_cast<std::size_t>(p));
         for (int r = 0; r < p; ++r) EXPECT_EQ(received[static_cast<std::size_t>(r)].origin, r);
     });
@@ -84,8 +130,7 @@ TEST(Migrate, EmptySendsAreFine) {
     run(4, [](bc::Communicator& comm) {
         std::vector<Particle> none;
         std::vector<int> dest;
-        auto received = bg::migrate(comm, std::span<const Particle>(none),
-                                    std::span<const int>(dest));
+        auto received = migrate_once(comm, none, dest);
         EXPECT_TRUE(received.empty());
     });
 }
@@ -97,8 +142,7 @@ TEST(Migrate, AllToOneHotspot) {
             mine[k] = {1.0, 2.0, 3.0, static_cast<std::uint64_t>(k), comm.rank()};
         }
         std::vector<int> dest(10, 0);
-        auto received = bg::migrate(comm, std::span<const Particle>(mine),
-                                    std::span<const int>(dest));
+        auto received = migrate_once(comm, mine, dest);
         if (comm.rank() == 0) {
             EXPECT_EQ(received.size(), 60u);
         } else {
@@ -109,21 +153,22 @@ TEST(Migrate, AllToOneHotspot) {
 
 TEST(Migrate, RejectsMismatchedLengths) {
     run(2, [](bc::Communicator& comm) {
+        bg::MigratePlan<Particle> plan(comm);
         if (comm.rank() == 0) {
             std::vector<Particle> one(1);
             std::vector<int> none;
-            EXPECT_THROW((void)bg::migrate(comm, std::span<const Particle>(one),
-                                           std::span<const int>(none)),
+            EXPECT_THROW((void)plan.execute(std::span<const Particle>(one),
+                                            std::span<const int>(none)),
                          beatnik::Error);
         }
-        // Note: rank 1 intentionally idle; migrate on rank 0 must fail
+        // Note: rank 1 only joins the plan build; execute on rank 0 must fail
         // before any communication happens.
     });
 }
 
 // ----------------------------------------------------- persistent plans
 
-TEST_P(MigrateP, PlanReuseMatchesLegacyPathEveryIteration) {
+TEST_P(MigrateP, PlanReuseMatchesAlltoallvReferenceEveryIteration) {
     run(GetParam(), [](bc::Communicator& comm) {
         const int p = comm.size();
         bg::MigratePlan<Particle> plan(comm);
@@ -143,12 +188,11 @@ TEST_P(MigrateP, PlanReuseMatchesLegacyPathEveryIteration) {
             }
             auto via_plan = plan.execute(std::span<const Particle>(mine),
                                          std::span<const int>(dest));
-            auto via_legacy = bg::migrate(comm, std::span<const Particle>(mine),
-                                          std::span<const int>(dest));
+            auto via_reference = reference_migrate(comm, mine, dest);
             // Same grouping contract (by source rank ascending), so the
             // results must be byte-identical.
-            ASSERT_EQ(via_plan.size(), via_legacy.size()) << "iteration " << iter;
-            EXPECT_TRUE(std::memcmp(via_plan.data(), via_legacy.data(),
+            ASSERT_EQ(via_plan.size(), via_reference.size()) << "iteration " << iter;
+            EXPECT_TRUE(std::memcmp(via_plan.data(), via_reference.data(),
                                     via_plan.size() * sizeof(Particle)) == 0)
                 << "iteration " << iter << " rank " << comm.rank();
         }
@@ -247,9 +291,7 @@ TEST(Distribute, ParticleCanReachMultipleRanks) {
             targets = {comm.rank()};
             offs.push_back(1);
         }
-        auto received = bg::distribute(comm, std::span<const Particle>(mine),
-                                       std::span<const std::size_t>(offs),
-                                       std::span<const int>(targets));
+        auto received = distribute_once(comm, mine, offs, targets);
         std::size_t expected = comm.rank() <= 2 ? (comm.rank() == 0 ? 1u : 2u) : 1u;
         ASSERT_EQ(received.size(), expected);
         if (comm.rank() == 1 || comm.rank() == 2) {
@@ -265,9 +307,7 @@ TEST(Distribute, ZeroTargetsDropsParticle) {
         std::vector<Particle> mine{{1.0, 2.0, 3.0, static_cast<std::uint64_t>(comm.rank()), comm.rank()}};
         std::vector<std::size_t> offs{0, 0}; // no targets: particle vanishes
         std::vector<int> targets;
-        auto received = bg::distribute(comm, std::span<const Particle>(mine),
-                                       std::span<const std::size_t>(offs),
-                                       std::span<const int>(targets));
+        auto received = distribute_once(comm, mine, offs, targets);
         EXPECT_TRUE(received.empty());
     });
 }
